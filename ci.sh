@@ -75,8 +75,13 @@ diff target/multigpu-serial.txt target/multigpu-parallel.txt
 grep -q 'digest multigpu eea524f5b009c7d8' target/multigpu-serial.txt
 echo "    multigpu byte-identical across the matrix, digest matches the golden pin"
 
-echo "==> oversubscription smoke (demand-paging engine: evict, write back, prefetch)"
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- oversub
+echo "==> oversubscription smoke (demand-paging engine: evict, write back, prefetch + pinned digest)"
+MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
+    --digest oversub > target/oversub-smoke.txt
+# The golden constant from tests/parallel_determinism.rs: eviction order,
+# range shootdowns, dirty write-back and prefetch all feed this digest.
+grep -q 'digest oversub 34029bf26e3a411f' target/oversub-smoke.txt
+echo "    oversub digest matches the golden pin"
 
 echo "==> trace-smoke (record a traced sweep, validate the JSONL, round-trip to Chrome)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \

@@ -16,7 +16,8 @@ use mosaic_core::{
 };
 use mosaic_sim_core::AuditReport;
 use mosaic_vm::{
-    AppId, LargePageNum, PageSize, PageTable, Tlb, TlbConfig, VirtPageNum, LARGE_PAGE_SIZE,
+    AppId, LargePageNum, PageSize, PageTable, Tlb, TlbConfig, VirtPageNum,
+    BASE_PAGES_PER_LARGE_PAGE, LARGE_PAGE_SIZE,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -201,7 +202,7 @@ pub fn run_vm_case(
                 // Same hole-restore contract as Map: a coalesced region
                 // only ever accepts its own contiguous frame back.
                 let lf = rc.unwrap_or(mosaic_vm::LargeFrameNum(lf));
-                for i in 0..mosaic_vm::BASE_PAGES_PER_LARGE_PAGE {
+                for i in 0..BASE_PAGES_PER_LARGE_PAGE {
                     let r = table.map_base(lpn.base_page(i), lf.base_frame(i));
                     let o = otable.map_base(lpn.base_page(i), lf.base_frame(i));
                     if r != o {
@@ -323,31 +324,21 @@ pub fn run_vm_case(
                 }
             }
             VmOp::Shootdown { asid, lpn } => {
-                // A full shootdown of one 2 MB region, the sequence a
-                // splinter-triggered TLB shootdown performs: the large
-                // entry first, then all 512 base slots under it. Nearly
-                // every base slot is empty, so the real TLB's occupancy
-                // filter must short-circuit each absent flush to exactly
-                // the oracle's answer.
+                // A full shootdown of one 2 MB region, as the simulator
+                // issues it: one `flush_range` sweep on the real TLB. The
+                // oracle keeps the per-page reference sequence — the large
+                // entry, then all 512 base slots under it — and the
+                // summed count must match the sweep's. `SkipFlushLarge`
+                // does not apply here (the sweep has no separate large
+                // flush to skip); the splinter op still covers it.
                 let (asid, lpn) = (AppId(asid), LargePageNum(lpn));
-                let large_addr = lpn.base_page(0).addr();
-                let o = oracle.flush_large(asid, large_addr);
-                if mutation != Mutation::SkipFlushLarge {
-                    let r = tlb.flush_large(asid, large_addr);
-                    if r != o {
-                        return Err(diverge(format!("shootdown large: real {r} oracle {o}")));
-                    }
-                }
+                let mut o = usize::from(oracle.flush_large(asid, lpn.base_page(0).addr()));
                 for vpn in lpn.base_pages() {
-                    let addr = vpn.addr();
-                    let r = tlb.flush_base(asid, addr);
-                    let o = oracle.flush_base(asid, addr);
-                    if r != o {
-                        return Err(diverge(format!(
-                            "shootdown base {}: real {r} oracle {o}",
-                            vpn.0
-                        )));
-                    }
+                    o += usize::from(oracle.flush_base(asid, vpn.addr()));
+                }
+                let r = tlb.flush_range(asid, lpn.base_page(0), BASE_PAGES_PER_LARGE_PAGE);
+                if r != o {
+                    return Err(diverge(format!("shootdown: real dropped {r} oracle {o}")));
                 }
             }
         }

@@ -98,10 +98,10 @@ pub enum VmOp {
     },
     /// Drop every entry.
     FlushAll,
-    /// Full shootdown of one 2 MB region: invalidate its large entry,
-    /// then every one of its 512 base entries. Most of those base slots
-    /// hold nothing, so the sweep leans hard on the TLB's per-ASID
-    /// occupancy-filter short-circuit for absent entries.
+    /// Full shootdown of one 2 MB region: its large entry and every one
+    /// of its 512 base entries. The real TLB drops them in one
+    /// `flush_range` sweep; the oracle flushes page by page, and the two
+    /// counts must agree.
     Shootdown {
         /// Address space.
         asid: u16,

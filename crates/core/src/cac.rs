@@ -300,7 +300,9 @@ impl Cac {
     ) -> Option<Vec<mosaic_vm::PhysFrameNum>> {
         let victim = pool
             .tracked()
-            .filter(|(_, s)| !s.is_full() && s.allocated().any(|(_, o)| o == FRAG_OWNER))
+            // Holds FRAG_OWNER data iff some allocated slot is not an
+            // app's: O(1) from the pool's audited counters.
+            .filter(|(_, s)| !s.is_full() && s.used() > s.app_used())
             .max_by_key(|(lf, s)| (BASE_PAGES_PER_LARGE_PAGE - s.used(), std::cmp::Reverse(*lf)))
             .map(|(lf, _)| lf)?;
         let holes: Vec<_> = pool.state(victim).holes().map(|i| victim.base_frame(i)).collect();
@@ -316,10 +318,11 @@ impl Cac {
     /// frames in the same channel, freeing the source frame. Returns the
     /// migration events, or `None` if no frame could be freed.
     fn compact_fragmented(&mut self, pool: &mut FramePool) -> Option<Vec<MgmtEvent>> {
-        // Pick the least-occupied frame holding only FRAG_OWNER data.
+        // Pick the least-occupied frame holding only FRAG_OWNER data
+        // (non-empty, no app-owned slot).
         let mut frag_frames: Vec<(LargeFrameNum, u64)> = pool
             .tracked()
-            .filter(|(_, s)| !s.is_empty() && s.single_owner(FRAG_OWNER))
+            .filter(|(_, s)| !s.is_empty() && s.app_used() == 0)
             .map(|(lf, s)| (lf, s.used()))
             .collect();
         frag_frames.sort_by_key(|&(lf, used)| (used, lf));
@@ -718,5 +721,53 @@ mod tests {
         assert!(matches!(events[0], MgmtEvent::Splintered { .. }));
         assert_eq!(cocoa.free_base_len(owner), 10);
         assert_eq!(cac.soft_guarantee_breaks(), 0, "own pages, no break");
+    }
+
+    /// The counter-backed FRAG predicates pick the frames the 512-slot
+    /// owner scans picked: with FRAG-only, mixed, app-only, and empty
+    /// frames in the pool, scavenging takes the mixed frame's holes (it
+    /// has the most holes among frames holding FRAG data) and compaction
+    /// drains the least-occupied FRAG-only frame, never the mixed one.
+    #[test]
+    fn frag_predicates_pick_the_frames_the_owner_scans_picked() {
+        let mut pool = FramePool::new(12 * LARGE_PAGE_SIZE, 6);
+        let lfs: Vec<LargeFrameNum> = (0..7).map(|_| pool.take_free_frame().unwrap()).collect();
+        let fill = |pool: &mut FramePool, lf: LargeFrameNum, from: u64, n: u64, owner: AppId| {
+            for i in from..from + n {
+                pool.set_owner(lf.base_frame(i), Some(owner));
+            }
+        };
+        let (frag_small, app_only, mixed, frag_dst) = (lfs[0], lfs[1], lfs[2], lfs[6]);
+        fill(&mut pool, frag_small, 0, 10, FRAG_OWNER);
+        fill(&mut pool, app_only, 0, 1, AppId(0));
+        fill(&mut pool, mixed, 0, 3, FRAG_OWNER);
+        fill(&mut pool, mixed, 3, 2, AppId(1));
+        // frag_dst shares frag_small's channel; lfs[3..6] stay reserved
+        // and empty.
+        fill(&mut pool, frag_dst, 0, 20, FRAG_OWNER);
+
+        let scavenge_scan = pool
+            .tracked()
+            .filter(|(_, s)| !s.is_full() && s.allocated().any(|(_, o)| o == FRAG_OWNER))
+            .max_by_key(|(lf, s)| (BASE_PAGES_PER_LARGE_PAGE - s.used(), std::cmp::Reverse(*lf)))
+            .map(|(lf, _)| lf);
+        let compact_scan = pool
+            .tracked()
+            .filter(|(_, s)| !s.is_empty() && s.single_owner(FRAG_OWNER))
+            .min_by_key(|(lf, s)| (s.used(), *lf))
+            .map(|(lf, _)| lf);
+        assert_eq!(scavenge_scan, Some(mixed));
+        assert_eq!(compact_scan, Some(frag_small));
+
+        let mut cac = Cac::new(CacConfig::default());
+        let holes = cac.scavenge_fragmented_holes(&mut pool).expect("a FRAG frame has holes");
+        assert_eq!(holes.len() as u64, BASE_PAGES_PER_LARGE_PAGE - 5);
+        assert!(holes.iter().all(|pfn| pfn.large_frame() == mixed), "holes come from {mixed}");
+
+        cac.compact_fragmented(&mut pool).expect("frag_dst can absorb frag_small");
+        assert!(pool.tracked().all(|(lf, _)| lf != frag_small), "the FRAG-only source drained");
+        assert_eq!(pool.state(frag_dst).used(), 30);
+        assert_eq!(pool.state(mixed).used(), 5, "the mixed frame is never a compaction source");
+        assert_eq!(pool.state(app_only).used(), 1);
     }
 }

@@ -42,6 +42,9 @@ pub struct FrameState {
     /// Number of allocated base frames owned by real applications
     /// (excluding [`FRAG_OWNER`]).
     app_used: u16,
+    /// Number of allocated base frames carrying a live mapping (cached
+    /// `residents().count()`).
+    mapped_used: u16,
     /// Pool-clock stamp of the most recent access (0 = never accessed).
     /// Drives the LRU eviction order.
     last_use: u64,
@@ -55,6 +58,7 @@ impl Default for FrameState {
             dirty: [0; DIRTY_WORDS],
             used: 0,
             app_used: 0,
+            mapped_used: 0,
             last_use: 0,
         }
     }
@@ -74,6 +78,18 @@ impl FrameState {
     /// Whether every base frame is allocated.
     pub fn is_full(&self) -> bool {
         u64::from(self.used) == BASE_PAGES_PER_LARGE_PAGE
+    }
+
+    /// Number of allocated base frames owned by real applications, i.e.
+    /// not by [`FRAG_OWNER`].
+    pub fn app_used(&self) -> u64 {
+        u64::from(self.app_used)
+    }
+
+    /// Whether this frame holds a resident base frame at `i` (allocated
+    /// and mapped).
+    fn is_resident(&self, i: usize) -> bool {
+        self.owners[i].is_some() && self.mapped[i].is_some()
     }
 
     /// Owner of base frame `i` within this large frame.
@@ -289,6 +305,7 @@ impl FramePool {
         };
         let idx = pfn.index_in_large() as usize;
         let app_before = state.app_used;
+        let resident_before = state.is_resident(idx);
         match (state.owners[idx], owner) {
             (None, Some(_)) => state.used += 1,
             (Some(_), None) => state.used -= 1,
@@ -306,6 +323,11 @@ impl FramePool {
             // unwritten-back data.
             state.mapped[idx] = None;
             state.set_dirty_bit(idx as u64, false);
+        }
+        match (resident_before, state.is_resident(idx)) {
+            (false, true) => state.mapped_used += 1,
+            (true, false) => state.mapped_used -= 1,
+            _ => {}
         }
         match (app_before, state.app_used) {
             (0, 1..) => self.app_frames += 1,
@@ -331,7 +353,11 @@ impl FramePool {
     pub fn set_mapping(&mut self, pfn: PhysFrameNum, vpn: VirtPageNum) {
         let lf = pfn.large_frame();
         if let Some(state) = self.states.get_mut(lf.raw() as usize).and_then(Option::as_mut) {
-            state.mapped[pfn.index_in_large() as usize] = Some(vpn);
+            let idx = pfn.index_in_large() as usize;
+            if state.owners[idx].is_some() && state.mapped[idx].is_none() {
+                state.mapped_used += 1;
+            }
+            state.mapped[idx] = Some(vpn);
         }
     }
 
@@ -384,12 +410,11 @@ impl FramePool {
     /// application and carries a live mapping — evicting one therefore
     /// leaves it empty and releasable. Frames holding injected
     /// fragmentation or owner-stamped-but-unmapped pages are excluded.
+    /// O(1) per frame: the predicate reads only cached counters.
     pub fn eviction_candidates(&self) -> Vec<LargeFrameNum> {
         let mut cands: Vec<(u64, LargeFrameNum)> = self
             .tracked()
-            .filter(|(_, s)| {
-                s.used > 0 && s.used == s.app_used && s.residents().count() == s.used as usize
-            })
+            .filter(|(_, s)| s.used > 0 && s.used == s.app_used && s.used == s.mapped_used)
             .map(|(lf, s)| (s.last_use, lf))
             .collect();
         cands.sort_unstable();
@@ -540,6 +565,7 @@ impl AuditInvariants for FramePool {
             let used = state.owners.iter().filter(|o| o.is_some()).count() as u16;
             let app_used =
                 state.owners.iter().filter(|o| o.is_some_and(|a| a != FRAG_OWNER)).count() as u16;
+            let mapped_used = state.residents().count() as u16;
             report.check(c, state.owners.len() as u64 == BASE_PAGES_PER_LARGE_PAGE, || {
                 format!(
                     "{lf} tracks {} base frames, expected {}",
@@ -554,6 +580,12 @@ impl AuditInvariants for FramePool {
                 format!(
                     "{lf} caches app_used={} but {} app owners are set",
                     state.app_used, app_used
+                )
+            });
+            report.check(c, state.mapped_used == mapped_used, || {
+                format!(
+                    "{lf} caches mapped_used={} but {} allocated frames are mapped",
+                    state.mapped_used, mapped_used
                 )
             });
             if app_used > 0 {
@@ -753,6 +785,66 @@ mod tests {
         // Reserved-but-empty frames have nothing to evict.
         let _empty = p.take_free_frame().unwrap();
         assert_eq!(p.eviction_candidates(), vec![clean]);
+        // Mapping the unmapped slot makes its frame a candidate, ordered
+        // by recency against the clean one.
+        p.note_use(unmapped.base_frame(0), false);
+        p.note_use(clean.base_frame(0), false);
+        p.set_mapping(unmapped.base_frame(0), VirtPageNum(2));
+        assert_eq!(p.eviction_candidates(), vec![unmapped, clean]);
+        // A second, unmapped slot takes it out again; freeing that slot
+        // (which clears its mapping state) brings it back in place.
+        p.set_owner(unmapped.base_frame(1), Some(AppId(1)));
+        assert_eq!(p.eviction_candidates(), vec![clean]);
+        p.set_owner(unmapped.base_frame(1), None);
+        assert_eq!(p.eviction_candidates(), vec![unmapped, clean]);
+        // Freeing the only mapped slot empties the frame: no candidate.
+        p.set_owner(clean.base_frame(0), None);
+        assert_eq!(p.eviction_candidates(), vec![unmapped]);
+    }
+
+    /// The counter-backed predicate picks the same frames, in the same
+    /// order, as the 512-slot `residents()` scan it replaced — through
+    /// mapping, remapping, partial frees, and owner changes — and the
+    /// audit's recount of `mapped_used` stays clean throughout.
+    #[test]
+    fn eviction_candidates_match_the_resident_scan() {
+        fn scanned(p: &FramePool) -> Vec<LargeFrameNum> {
+            let mut cands: Vec<(u64, LargeFrameNum)> = p
+                .tracked()
+                .filter(|(_, s)| {
+                    s.used() > 0
+                        && s.used() == s.app_used()
+                        && s.residents().count() as u64 == s.used()
+                })
+                .map(|(lf, s)| (s.last_use(), lf))
+                .collect();
+            cands.sort_unstable();
+            cands.into_iter().map(|(_, lf)| lf).collect()
+        }
+        let mut rng = SimRng::from_seed(0xE71C);
+        let mut p = pool(8);
+        let frames: Vec<LargeFrameNum> = (0..6).map(|_| p.take_free_frame().unwrap()).collect();
+        let mut seen = BTreeSet::new();
+        for step in 0..4000 {
+            let lf = frames[rng.below(frames.len() as u64) as usize];
+            let pfn = lf.base_frame(rng.below(4));
+            match rng.below(6) {
+                0 => {
+                    let owner = if rng.chance(0.05) { FRAG_OWNER } else { AppId(1) };
+                    p.set_owner(pfn, Some(owner));
+                }
+                1 | 2 if p.owner(pfn).is_some() => p.set_mapping(pfn, VirtPageNum(rng.below(64))),
+                3 => p.set_owner(pfn, None),
+                _ => p.note_use(pfn, rng.chance(0.5)),
+            }
+            let cands = p.eviction_candidates();
+            assert_eq!(cands, scanned(&p), "step {step}");
+            seen.insert(cands.len());
+            let mut report = AuditReport::new();
+            p.audit(&mut report);
+            report.assert_clean(format!("step {step}"));
+        }
+        assert!(seen.len() > 3, "the walk must cover several candidate-set sizes: {seen:?}");
     }
 
     #[test]

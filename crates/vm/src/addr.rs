@@ -154,12 +154,6 @@ impl VirtPageNum {
     pub const fn index_in_large(self) -> u64 {
         self.0 % BASE_PAGES_PER_LARGE_PAGE
     }
-
-    /// Whether this base page is the first page of (aligned to) a large page.
-    #[inline]
-    pub const fn is_large_aligned(self) -> bool {
-        self.index_in_large() == 0
-    }
 }
 
 impl LargePageNum {
@@ -282,8 +276,6 @@ mod tests {
             assert_eq!(bp.large_page(), lp);
             assert_eq!(bp.index_in_large(), i);
         }
-        assert!(lp.base_page(0).is_large_aligned());
-        assert!(!lp.base_page(1).is_large_aligned());
     }
 
     #[test]

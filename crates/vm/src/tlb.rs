@@ -12,7 +12,7 @@
 //! exactly, while access latency and port contention are charged by the
 //! full-system simulator that instantiates them.
 
-use crate::addr::{AppId, PageSize, VirtAddr};
+use crate::addr::{AppId, PageSize, VirtAddr, VirtPageNum};
 
 use mosaic_sim_core::Ratio;
 
@@ -100,11 +100,12 @@ struct TranslationArray {
     assoc: usize,
     tick: u64,
     /// Counting filter over the `(asid, page)` pairs held across all
-    /// sets: each resident pair increments its hash bucket. Invalidations
-    /// (TLB shootdowns) arrive for *every* unmapped page but the array
-    /// only caches a handful of them, so a zero bucket proves absence and
-    /// skips the set scan in the overwhelmingly common case; a non-zero
-    /// bucket (present, or a collision) falls back to the scan. Purely an
+    /// sets: each resident pair increments its hash bucket. A zero bucket
+    /// proves absence and skips the set scan; a non-zero bucket (present,
+    /// or a collision) falls back to the scan. Region shootdowns do not
+    /// probe it: [`TranslationArray::flush_range`] is one sweep per array.
+    /// Its job is lookup misses and single-entry invalidations
+    /// (`flush_large` on a splinter, `flush_base`). Purely an
     /// accelerator: contents and replacement are unchanged, and
     /// maintenance is O(1) per insert/evict.
     filter: Box<[u16; FILTER_BUCKETS]>,
@@ -202,8 +203,8 @@ impl TranslationArray {
     }
 
     fn invalidate(&mut self, asid: AppId, page: u64) -> bool {
-        // A zero bucket proves the pair is absent (the common case during
-        // unmap shootdown storms) without touching the sets.
+        // A zero bucket proves the pair is absent without touching the
+        // sets.
         let bucket = filter_bucket(asid, page);
         if self.filter[bucket] == 0 {
             return false;
@@ -220,11 +221,25 @@ impl TranslationArray {
     }
 
     fn flush_asid(&mut self, asid: AppId) -> usize {
+        self.flush_where(|s| s.asid == asid)
+    }
+
+    /// Drops every `asid` entry whose page lies in `pages` — one sweep
+    /// over the resident slots however wide the range. `retain` keeps the
+    /// survivors in order and ticks are untouched, so the array ends
+    /// exactly as after one `invalidate` per page of the range.
+    fn flush_range(&mut self, asid: AppId, pages: std::ops::Range<u64>) -> usize {
+        self.flush_where(|s| s.asid == asid && pages.contains(&s.page))
+    }
+
+    /// Removes the slots matching `doomed` from every set (keeping the
+    /// filter in step), returning how many were dropped.
+    fn flush_where(&mut self, doomed: impl Fn(&Slot) -> bool) -> usize {
         let mut n = 0;
         for set in &mut self.sets {
             let before = set.len();
             set.retain(|s| {
-                if s.asid == asid {
+                if doomed(s) {
                     self.filter[filter_bucket(s.asid, s.page)] -= 1;
                     false
                 } else {
@@ -511,6 +526,29 @@ impl Tlb {
     pub fn flush_base(&mut self, asid: AppId, addr: VirtAddr) -> bool {
         self.last_hit = None;
         self.base.invalidate(asid, addr.base_page().raw())
+    }
+
+    /// Invalidates `asid`'s translations for the `pages` base pages from
+    /// `start`: the base entries in the span and the large entries of
+    /// every 2 MB region it overlaps. Returns the number of entries
+    /// dropped; `pages == 0` touches nothing.
+    ///
+    /// One sweep per array, so the cost scales with the resident entries
+    /// rather than the span: a 2 MB region names 512 base translations
+    /// and one large one, and nearly all of them are absent. The
+    /// resulting state (contents, set order, recency, filter) is exactly
+    /// that of `flush_large` on each overlapped region plus `flush_base`
+    /// on each page, and the count equals their `true` results.
+    pub fn flush_range(&mut self, asid: AppId, start: VirtPageNum, pages: u64) -> usize {
+        if pages == 0 {
+            return 0;
+        }
+        self.last_hit = None;
+        let end = start.raw() + pages;
+        let first_large = start.large_page().raw();
+        let last_large = VirtPageNum(end - 1).large_page().raw();
+        self.base.flush_range(asid, start.raw()..end)
+            + self.large.flush_range(asid, first_large..last_large + 1)
     }
 
     /// Removes every entry belonging to `asid` (both arrays), returning the
@@ -942,7 +980,13 @@ mod tests {
             check(&tlb);
         }
         assert_eq!(tlb.occupancy(), 0);
-        // flush_asid / flush_all keep the mirror in step too.
+        // flush_range / flush_asid / flush_all keep the mirror in step too.
+        tlb.fill(AppId(0), VirtPageNum(0).addr(), PageSize::Base);
+        tlb.fill(AppId(0), LargePageNum(0).addr(), PageSize::Large);
+        assert_eq!(tlb.flush_range(AppId(0), VirtPageNum(0), 0), 0, "empty span drops nothing");
+        check(&tlb);
+        assert_eq!(tlb.flush_range(AppId(0), VirtPageNum(0), 1), 2, "base page and its region");
+        check(&tlb);
         for i in 0..4u64 {
             tlb.fill(AppId((i % 2) as u16), VirtPageNum(i).addr(), PageSize::Base);
         }

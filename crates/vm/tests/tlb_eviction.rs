@@ -2,13 +2,19 @@
 //!
 //! `fill` returns the `(asid, page)` pair it displaced so the MMU can keep
 //! shadow state coherent; `flush_large` is the invalidation a splinter
-//! must issue (Section 4.4). These tests pin both round-trips, LRU
-//! recency, and multi-ASID conflict behavior for `paper_l1` (128-entry
-//! fully-associative base / 16-entry fully-associative large) and
-//! `paper_l2` (512-entry 16-way base / 256-entry fully-associative
+//! must issue (Section 4.4), and `flush_range` the one an unmap or
+//! eviction shootdown issues. These tests pin the round-trips, LRU
+//! recency, multi-ASID conflict behavior, and the equivalence of
+//! `flush_range` with the per-page flush sequence for `paper_l1`
+//! (128-entry fully-associative base / 16-entry fully-associative large)
+//! and `paper_l2` (512-entry 16-way base / 256-entry fully-associative
 //! large).
 
-use mosaic_vm::{AppId, LargePageNum, PageSize, Tlb, TlbConfig, TlbLookup, VirtPageNum};
+use mosaic_sim_core::SimRng;
+use mosaic_vm::{
+    AppId, LargePageNum, PageSize, Tlb, TlbConfig, TlbLookup, VirtPageNum,
+    BASE_PAGES_PER_LARGE_PAGE,
+};
 
 const A0: AppId = AppId(0);
 const A1: AppId = AppId(1);
@@ -209,4 +215,100 @@ fn paper_l2_base_set_conflicts() {
     assert_eq!(tlb.peek(A0, baddr(0)), TlbLookup::Miss);
     assert_eq!(tlb.peek(A0, baddr(1)), TlbLookup::HitBase, "other sets untouched");
     assert_eq!(tlb.peek(A0, baddr(16 * sets)), TlbLookup::HitBase);
+}
+
+/// Regions the range-flush histories draw pages from.
+const RANGE_REGIONS: u64 = 6;
+
+/// One random TLB operation over three ASIDs and [`RANGE_REGIONS`]
+/// regions, applied to `tlb`; returns its observable outcome (lookup
+/// result or fill victim) so two TLBs can be compared step by step.
+fn random_op(tlb: &mut Tlb, rng: &mut SimRng) -> (Option<TlbLookup>, Option<(AppId, u64)>) {
+    let asid = AppId(rng.below(3) as u16);
+    let addr = baddr(rng.below(RANGE_REGIONS * BASE_PAGES_PER_LARGE_PAGE));
+    match rng.below(4) {
+        0 => (None, tlb.fill(asid, addr, PageSize::Base)),
+        1 if rng.chance(0.3) => (None, tlb.fill(asid, addr, PageSize::Large)),
+        _ => (Some(tlb.lookup(asid, addr)), None),
+    }
+}
+
+/// The per-page sequence `flush_range` replaces: `flush_large` on each
+/// overlapped 2 MB region, then `flush_base` on each page. Returns the
+/// number of `true` results.
+fn flush_per_page(tlb: &mut Tlb, asid: AppId, start: u64, pages: u64) -> usize {
+    let mut dropped = 0;
+    if pages > 0 {
+        let first = VirtPageNum(start).large_page().raw();
+        let last = VirtPageNum(start + pages - 1).large_page().raw();
+        for lpn in first..=last {
+            dropped += usize::from(tlb.flush_large(asid, laddr(lpn)));
+        }
+    }
+    for vpn in start..start + pages {
+        dropped += usize::from(tlb.flush_base(asid, baddr(vpn)));
+    }
+    dropped
+}
+
+/// `flush_range` leaves a TLB in exactly the state the per-page sequence
+/// does: same entries in the same order, same count, and the same
+/// outcomes and victims for the next 1,000 random operations.
+fn flush_range_matches_per_page(config: TlbConfig, seed: u64) {
+    let per_region = BASE_PAGES_PER_LARGE_PAGE;
+    // (start, pages): unaligned inside a region, crossing a region
+    // boundary, exactly one region, several regions, one page, empty.
+    let spans = [
+        (per_region + 37, 100),
+        (2 * per_region - 10, 30),
+        (3 * per_region, per_region),
+        (100, 3 * per_region + 5),
+        (4 * per_region + 511, 1),
+        (5 * per_region + 7, 0),
+    ];
+    let mut rng = SimRng::from_seed(seed);
+    let mut total_dropped = 0;
+    for (start, pages) in spans {
+        let mut old = Tlb::new(config);
+        for _ in 0..4000 {
+            random_op(&mut old, &mut rng);
+        }
+        let mut new = old.clone();
+        let asid = AppId(rng.below(3) as u16);
+        let expected = flush_per_page(&mut old, asid, start, pages);
+        let dropped = new.flush_range(asid, VirtPageNum(start), pages);
+        assert_eq!(dropped, expected, "span ({start}, {pages}): dropped-entry count");
+        total_dropped += dropped;
+        let old_entries: Vec<_> = old.entries().collect();
+        let new_entries: Vec<_> = new.entries().collect();
+        assert_eq!(old_entries, new_entries, "span ({start}, {pages}): entries and order");
+        // Ticks, filter, stats and the last-hit cache match too.
+        assert_eq!(format!("{old:?}"), format!("{new:?}"), "span ({start}, {pages}): state");
+        let mut replay = rng.clone();
+        for step in 0..1000 {
+            assert_eq!(
+                random_op(&mut old, &mut rng),
+                random_op(&mut new, &mut replay),
+                "span ({start}, {pages}): op {step} after the flush"
+            );
+        }
+    }
+    assert!(total_dropped > 0, "the histories must leave entries in the flushed spans");
+}
+
+#[test]
+fn paper_l1_flush_range_matches_per_page() {
+    flush_range_matches_per_page(TlbConfig::paper_l1(), 0xF1);
+}
+
+#[test]
+fn paper_l2_flush_range_matches_per_page() {
+    flush_range_matches_per_page(TlbConfig::paper_l2(), 0xF2);
+}
+
+#[test]
+fn small_set_associative_flush_range_matches_per_page() {
+    let config =
+        TlbConfig { base_entries: 32, base_assoc: 4, large_entries: 8, large_assoc: 2, latency: 1 };
+    flush_range_matches_per_page(config, 0xF3);
 }
