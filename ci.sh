@@ -52,8 +52,15 @@ test "$cold_ms" -ge $(( warm_ms * 10 ))
 echo "==> conformance fuzz (differential oracles, bounded deterministic run)"
 cargo run -q --release -p mosaic-conformance -- fuzz --cases 256 --seed 0xC0FFEE
 
-echo "==> smoke sweep (parallel reproduce run)"
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- fig03 fig08
+echo "==> smoke sweep (parallel reproduce run + pinned fig03/fig08 digests)"
+MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
+    --digest fig03 fig08 > target/smoke-sweep.txt
+# The golden constants from tests/parallel_determinism.rs: the per-op
+# issue path (SM scheduling, warp streams, TLB and cache probes) feeds
+# both digests.
+grep -q 'digest fig08 ad0fedc459c0afa6' target/smoke-sweep.txt
+grep -q 'digest fig03 d3a367a2c8a59907' target/smoke-sweep.txt
+echo "    fig03 and fig08 digests match the golden pins"
 
 echo "==> sim-threads-smoke (sharded engine bit-identity: fig08 at N=4 vs N=1)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \

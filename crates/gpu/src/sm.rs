@@ -8,7 +8,7 @@
 //! earliest wake-up — those skipped cycles are the *stall cycles* that
 //! TLB misses and far-faults inflate and that Mosaic claws back.
 
-use crate::warp::{MemoryInterface, StreamCheckpoint, WarpOp, WarpStream};
+use crate::warp::{AddrList, MemoryInterface, StreamCheckpoint, WarpOp, WarpStream};
 use mosaic_sim_core::Cycle;
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBreakdown, StallBucket};
 use mosaic_vm::AppId;
@@ -48,27 +48,22 @@ pub struct SmStats {
     pub stall_breakdown: StallBreakdown,
 }
 
-#[derive(Debug)]
-struct WarpCtx<S> {
-    stream: S,
-    ready_at: Cycle,
-    finished: bool,
-}
-
 /// Journal reversing one [`Sm::advance_logged`] call: the scalar SM
-/// header (clock, GTO cursor, fence, stats — all mutated
-/// unconditionally) plus one record per issued op capturing the picked
-/// warp's pre-issue state, including its stream checkpoint. `C` is the
-/// stream's [`StreamCheckpoint::State`]. Reuse one journal per
-/// speculation slot — [`Sm::advance_logged`] clears and refills the op
-/// vector, so its allocation amortizes across steps.
+/// header (clock, GTO cursor, live count, fence, stats, address buffer —
+/// all mutated unconditionally) plus one record per issued op capturing
+/// the picked warp's pre-issue state, including its stream checkpoint.
+/// `C` is the stream's [`StreamCheckpoint::State`]. Reuse one journal
+/// per speculation slot — [`Sm::advance_logged`] clears and refills the
+/// op vector, so its allocation amortizes across steps.
 #[derive(Debug, Clone)]
 pub struct AdvanceUndo<C> {
     now: Cycle,
     current: usize,
+    live: usize,
     fence: Cycle,
     fence_cause: StallBucket,
     stats: SmStats,
+    addrs: AddrList,
     ops: Vec<OpUndo<C>>,
 }
 
@@ -77,9 +72,11 @@ impl<C> Default for AdvanceUndo<C> {
         AdvanceUndo {
             now: Cycle::ZERO,
             current: 0,
+            live: 0,
             fence: Cycle::ZERO,
             fence_cause: StallBucket::Sync,
             stats: SmStats::default(),
+            addrs: AddrList::new(),
             ops: Vec::new(),
         }
     }
@@ -88,8 +85,7 @@ impl<C> Default for AdvanceUndo<C> {
 #[derive(Debug, Clone)]
 struct OpUndo<C> {
     warp: usize,
-    ready_at: Cycle,
-    finished: bool,
+    wake: Cycle,
     timeline: AccessTimeline,
     stream: C,
 }
@@ -122,12 +118,22 @@ where
     fn log_op(&mut self, sm: &Sm<S>, warp: usize) {
         self.ops.push(OpUndo {
             warp,
-            ready_at: sm.warps[warp].ready_at,
-            finished: sm.warps[warp].finished,
+            wake: sm.wake[warp],
             timeline: sm.timelines[warp],
-            stream: sm.warps[warp].stream.checkpoint(),
+            stream: sm.streams[warp].checkpoint(),
         });
     }
+}
+
+/// The scheduler's next move, from [`Sm::next_warp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NextWarp {
+    /// Issue from this ready warp.
+    Issue(usize),
+    /// No warp is ready; this one wakes first.
+    Wait(usize),
+    /// Every warp has exited.
+    Done,
 }
 
 /// One streaming multiprocessor.
@@ -145,12 +151,21 @@ pub struct Sm<S: WarpStream = Box<dyn WarpStream>> {
     id: usize,
     asid: AppId,
     config: SmConfig,
-    warps: Vec<WarpCtx<S>>,
+    streams: Vec<S>,
+    /// When each warp can issue next, indexed like `streams`;
+    /// [`Cycle::MAX`] once it has exited. Kept apart from the (large)
+    /// streams so the scheduler's per-instruction scan reads one dense
+    /// array.
+    wake: Vec<Cycle>,
+    /// Warps not yet exited (the entries of `wake` below `Cycle::MAX`).
+    live: usize,
     /// Where the cycles of each warp's in-flight operation went, indexed
-    /// like `warps`; consulted when an SM stall ends at that warp's
-    /// wake-up. Kept out of `WarpCtx` so the scheduler's per-cycle scans
-    /// over `warps` stay dense.
+    /// like `streams`; consulted when an SM stall ends at that warp's
+    /// wake-up.
     timelines: Vec<AccessTimeline>,
+    /// The one address buffer every memory op of this SM is generated
+    /// into ([`WarpStream::next_op`]).
+    addrs: AddrList,
     current: usize,
     now: Cycle,
     /// External stall barrier (e.g., worst-case compaction stalls): the SM
@@ -165,17 +180,16 @@ impl<S: WarpStream> Sm<S> {
     /// Creates an SM for application `asid` with the given warp streams.
     /// SMs with no warps start inactive.
     pub fn new(id: usize, asid: AppId, config: SmConfig, streams: Vec<S>) -> Self {
-        let warps: Vec<_> = streams
-            .into_iter()
-            .map(|stream| WarpCtx { stream, ready_at: Cycle::ZERO, finished: false })
-            .collect();
-        let timelines = vec![AccessTimeline::default(); warps.len()];
+        let n = streams.len();
         Sm {
             id,
             asid,
             config,
-            warps,
-            timelines,
+            streams,
+            wake: vec![Cycle::ZERO; n],
+            live: n,
+            timelines: vec![AccessTimeline::default(); n],
+            addrs: AddrList::new(),
             current: 0,
             now: Cycle::ZERO,
             fence: Cycle::ZERO,
@@ -189,14 +203,14 @@ impl<S: WarpStream> Sm<S> {
     /// warp-slot allocation. Lets a multi-phase runner reuse its SMs
     /// instead of constructing a fresh vector per kernel phase.
     pub fn reload(&mut self, streams: impl IntoIterator<Item = S>) {
-        self.warps.clear();
-        self.warps.extend(streams.into_iter().map(|stream| WarpCtx {
-            stream,
-            ready_at: Cycle::ZERO,
-            finished: false,
-        }));
+        self.streams.clear();
+        self.streams.extend(streams);
+        let n = self.streams.len();
+        self.wake.clear();
+        self.wake.resize(n, Cycle::ZERO);
+        self.live = n;
         self.timelines.clear();
-        self.timelines.resize(self.warps.len(), AccessTimeline::default());
+        self.timelines.resize(n, AccessTimeline::default());
         self.current = 0;
         self.now = Cycle::ZERO;
         self.fence = Cycle::ZERO;
@@ -226,7 +240,7 @@ impl<S: WarpStream> Sm<S> {
 
     /// Whether any warp still has work.
     pub fn is_active(&self) -> bool {
-        self.warps.iter().any(|w| !w.finished)
+        self.live > 0
     }
 
     /// Stalls the SM until `until` (used for the conservative whole-GPU
@@ -246,30 +260,27 @@ impl<S: WarpStream> Sm<S> {
         }
     }
 
-    /// GTO pick: the current warp if ready, else the oldest (lowest index)
-    /// ready warp, else `None`.
-    fn pick(&self) -> Option<usize> {
-        let ready = |w: &WarpCtx<S>| !w.finished && w.ready_at <= self.now;
-        if ready(&self.warps[self.current]) {
-            return Some(self.current);
+    /// One scan over `wake` for the scheduler's next move: the GTO pick
+    /// (the current warp if ready, else the lowest-index ready warp), or
+    /// failing that the earliest-waking warp (first minimum), or
+    /// [`NextWarp::Done`] once every warp has exited. An exited warp's
+    /// `Cycle::MAX` is never ready and never below the running minimum.
+    fn next_warp(&self) -> NextWarp {
+        if self.wake[self.current] <= self.now {
+            return NextWarp::Issue(self.current);
         }
-        self.warps.iter().position(ready)
-    }
-
-    /// The unfinished warp with the earliest wake-up (first such index;
-    /// its `ready_at` equals the minimum the old `next_wakeup` returned).
-    fn next_wakeup_warp(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, w) in self.warps.iter().enumerate() {
-            if w.finished {
-                continue;
+        let mut earliest = None;
+        let mut earliest_wake = Cycle::MAX;
+        for (i, &wake) in self.wake.iter().enumerate() {
+            if wake <= self.now {
+                return NextWarp::Issue(i);
             }
-            match best {
-                Some(b) if self.warps[b].ready_at <= w.ready_at => {}
-                _ => best = Some(i),
+            if wake < earliest_wake {
+                earliest_wake = wake;
+                earliest = Some(i);
             }
         }
-        best
+        earliest.map_or(NextWarp::Done, NextWarp::Wait)
     }
 
     /// Runs the SM for up to `config.batch` issued instructions (or one
@@ -290,35 +301,34 @@ impl<S: WarpStream> Sm<S> {
             self.now = self.fence;
         }
         for _ in 0..self.config.batch {
-            let Some(w) = self.pick() else {
-                // Nothing ready: fast-forward to the next wake-up and
-                // attribute the skipped interval to the waking warp's
-                // timeline (the critical path that ends the stall).
-                if let Some(i) = self.next_wakeup_warp() {
-                    let wake = self.warps[i].ready_at;
-                    if wake > self.now {
-                        let skipped = wake - self.now;
-                        self.stats.stall_cycles += skipped;
-                        self.stats.stall_breakdown.attribute(&self.timelines[i], self.now, wake);
-                        self.now = wake;
-                    }
+            let w = match self.next_warp() {
+                NextWarp::Issue(w) => w,
+                NextWarp::Wait(i) => {
+                    // Nothing ready: fast-forward to the next wake-up and
+                    // attribute the skipped interval to the waking warp's
+                    // timeline (the critical path that ends the stall).
+                    let wake = self.wake[i];
+                    let skipped = wake - self.now;
+                    self.stats.stall_cycles += skipped;
+                    self.stats.stall_breakdown.attribute(&self.timelines[i], self.now, wake);
+                    self.now = wake;
                     return true;
                 }
-                return false; // everyone finished
+                NextWarp::Done => return false,
             };
             self.current = w;
             log.log_op(self, w);
-            let op = self.warps[w].stream.next_op();
-            match op {
+            match self.streams[w].next_op(&mut self.addrs) {
                 WarpOp::Compute { cycles } => {
                     self.stats.instructions += 1;
                     let ready = self.now + u64::from(cycles.max(1));
-                    self.warps[w].ready_at = ready;
+                    self.wake[w] = ready;
                     self.timelines[w] =
                         AccessTimeline::single(self.now, ready, StallBucket::Compute);
                     self.now += 1;
                 }
-                WarpOp::Memory { addresses } => {
+                WarpOp::Memory => {
+                    let addresses = &self.addrs;
                     self.stats.instructions += 1;
                     self.stats.memory_instructions += 1;
                     self.stats.transactions += addresses.len() as u64;
@@ -326,7 +336,7 @@ impl<S: WarpStream> Sm<S> {
                         self.now,
                         self.id,
                         self.asid,
-                        &addresses,
+                        addresses,
                         &mut self.timelines[w],
                     );
                     if done == Cycle::MAX {
@@ -338,7 +348,7 @@ impl<S: WarpStream> Sm<S> {
                     }
                     debug_assert!(done >= self.now);
                     // SIMT lockstep: the warp waits for its slowest lane.
-                    self.warps[w].ready_at = done;
+                    self.wake[w] = done;
                     emit(|| Event::WarpMem {
                         sm: self.id as u32,
                         asid: self.asid.0,
@@ -349,7 +359,8 @@ impl<S: WarpStream> Sm<S> {
                     self.now += 1;
                 }
                 WarpOp::Exit => {
-                    self.warps[w].finished = true;
+                    self.wake[w] = Cycle::MAX;
+                    self.live -= 1;
                 }
             }
         }
@@ -374,6 +385,8 @@ impl<S: WarpStream> Sm<S> {
         undo.ops.clear();
         undo.now = self.now;
         undo.current = self.current;
+        undo.live = self.live;
+        undo.addrs = self.addrs;
         undo.fence = self.fence;
         undo.fence_cause = self.fence_cause;
         undo.stats = self.stats;
@@ -389,14 +402,14 @@ impl<S: WarpStream> Sm<S> {
         S: StreamCheckpoint,
     {
         for op in undo.ops.iter().rev() {
-            let w = &mut self.warps[op.warp];
-            w.ready_at = op.ready_at;
-            w.finished = op.finished;
-            w.stream.restore(&op.stream);
+            self.wake[op.warp] = op.wake;
+            self.streams[op.warp].restore(&op.stream);
             self.timelines[op.warp] = op.timeline;
         }
         self.now = undo.now;
         self.current = undo.current;
+        self.live = undo.live;
+        self.addrs = undo.addrs;
         self.fence = undo.fence;
         self.fence_cause = undo.fence_cause;
         self.stats = undo.stats;
@@ -422,14 +435,14 @@ impl<S: WarpStream> Sm<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warp::{AddrList, FixedLatencyMemory};
+    use crate::warp::FixedLatencyMemory;
     use mosaic_vm::VirtAddr;
 
     /// `n` compute ops then exit.
     #[derive(Debug)]
     struct ComputeN(u64);
     impl WarpStream for ComputeN {
-        fn next_op(&mut self) -> WarpOp {
+        fn next_op(&mut self, _addrs: &mut AddrList) -> WarpOp {
             if self.0 == 0 {
                 WarpOp::Exit
             } else {
@@ -443,12 +456,14 @@ mod tests {
     #[derive(Debug)]
     struct MemN(u64);
     impl WarpStream for MemN {
-        fn next_op(&mut self) -> WarpOp {
+        fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp {
             if self.0 == 0 {
                 WarpOp::Exit
             } else {
                 self.0 -= 1;
-                WarpOp::Memory { addresses: AddrList::one(VirtAddr(self.0 * 128)) }
+                addrs.clear();
+                addrs.push(VirtAddr(self.0 * 128));
+                WarpOp::Memory
             }
         }
     }
@@ -510,7 +525,7 @@ mod tests {
         #[derive(Debug)]
         struct Tagged(&'static str, u64, std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>);
         impl WarpStream for Tagged {
-            fn next_op(&mut self) -> WarpOp {
+            fn next_op(&mut self, _addrs: &mut AddrList) -> WarpOp {
                 if self.1 == 0 {
                     WarpOp::Exit
                 } else {
@@ -573,7 +588,7 @@ mod tests {
         #[derive(Debug)]
         struct SlowCompute(u64);
         impl WarpStream for SlowCompute {
-            fn next_op(&mut self) -> WarpOp {
+            fn next_op(&mut self, _addrs: &mut AddrList) -> WarpOp {
                 if self.0 == 0 {
                     WarpOp::Exit
                 } else {
@@ -709,10 +724,14 @@ mod tests {
         #[derive(Debug)]
         struct Divergent(bool);
         impl WarpStream for Divergent {
-            fn next_op(&mut self) -> WarpOp {
+            fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp {
                 if self.0 {
                     self.0 = false;
-                    WarpOp::Memory { addresses: (0..32).map(|i| VirtAddr(i * 4096)).collect() }
+                    addrs.clear();
+                    for i in 0..32 {
+                        addrs.push(VirtAddr(i * 4096));
+                    }
+                    WarpOp::Memory
                 } else {
                     WarpOp::Exit
                 }
@@ -723,5 +742,66 @@ mod tests {
         sm.run_to_completion(&mut mem);
         assert_eq!(sm.stats().transactions, 32);
         assert_eq!(sm.stats().memory_instructions, 1);
+    }
+
+    /// The old GTO pick over `(ready_at, finished)` warps: the current
+    /// warp if ready, else the lowest-index ready warp.
+    fn reference_pick(warps: &[(Cycle, bool)], current: usize, now: Cycle) -> Option<usize> {
+        let ready = |w: &(Cycle, bool)| !w.1 && w.0 <= now;
+        if ready(&warps[current]) {
+            return Some(current);
+        }
+        warps.iter().position(ready)
+    }
+
+    /// The old `next_wakeup_warp`: the unfinished warp with the earliest
+    /// wake-up, first index on ties.
+    fn reference_next_wakeup(warps: &[(Cycle, bool)]) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (i, w) in warps.iter().enumerate() {
+            if w.1 {
+                continue;
+            }
+            match best {
+                Some(b) if warps[b].0 <= w.0 => {}
+                _ => best = Some(i),
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn fused_gto_scan_matches_pick_then_next_wakeup() {
+        use mosaic_sim_core::SimRng;
+        let mut rng = SimRng::from_seed(0x6707);
+        let mut cases = [0u32; 4]; // current ready, other ready, wait, done
+        for _ in 0..20_000 {
+            let n = 1 + rng.below(8) as usize;
+            let now = Cycle::new(100);
+            // Wake-ups cluster on a few cycles around `now` so ties and
+            // ready/not-ready mixes are common.
+            let warps: Vec<(Cycle, bool)> =
+                (0..n).map(|_| (Cycle::new(96 + rng.below(9)), rng.chance(0.3))).collect();
+            let streams = (0..n).map(|_| ComputeN(0)).collect();
+            let mut sm = Sm::new(0, AppId(0), SmConfig { warps: n, batch: 8 }, streams);
+            sm.now = now;
+            sm.current = rng.below(n as u64) as usize;
+            sm.wake = warps.iter().map(|&(r, fin)| if fin { Cycle::MAX } else { r }).collect();
+            sm.live = warps.iter().filter(|w| !w.1).count();
+
+            let expected = match reference_pick(&warps, sm.current, now) {
+                Some(w) => NextWarp::Issue(w),
+                None => reference_next_wakeup(&warps).map_or(NextWarp::Done, NextWarp::Wait),
+            };
+            let got = sm.next_warp();
+            assert_eq!(got, expected, "warps {warps:?}, current {}", sm.current);
+            cases[match got {
+                NextWarp::Issue(w) if w == sm.current => 0,
+                NextWarp::Issue(_) => 1,
+                NextWarp::Wait(_) => 2,
+                NextWarp::Done => 3,
+            }] += 1;
+        }
+        assert!(cases.iter().all(|&c| c > 100), "every outcome is exercised: {cases:?}");
     }
 }

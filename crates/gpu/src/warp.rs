@@ -11,10 +11,9 @@ pub const MAX_WARP_ADDRS: usize = 32;
 
 /// The coalesced addresses of one memory instruction, stored inline.
 ///
-/// Every issued memory op used to carry a heap `Vec` (usually of one
-/// element), making the per-op allocation the hottest line of the issue
-/// loop; an inline fixed-capacity list keeps the stream generators
-/// allocation-free. Dereferences to `&[VirtAddr]`.
+/// Streams fill a caller-owned list ([`WarpStream::next_op`]), so one
+/// buffer per SM serves every op: no per-op allocation, zeroing, or
+/// by-value move of the 256-byte array. Dereferences to `&[VirtAddr]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddrList {
     addrs: [VirtAddr; MAX_WARP_ADDRS],
@@ -27,11 +26,10 @@ impl AddrList {
         AddrList { addrs: [VirtAddr(0); MAX_WARP_ADDRS], len: 0 }
     }
 
-    /// A single-address list (the fully-converged common case).
-    pub fn one(addr: VirtAddr) -> Self {
-        let mut list = Self::new();
-        list.push(addr);
-        list
+    /// Empties the list; only the length is reset, the stale slots are
+    /// never read.
+    pub fn clear(&mut self) {
+        self.len = 0;
     }
 
     /// Appends an address; a warp cannot produce more than
@@ -56,23 +54,8 @@ impl std::ops::Deref for AddrList {
     }
 }
 
-impl FromIterator<VirtAddr> for AddrList {
-    fn from_iter<I: IntoIterator<Item = VirtAddr>>(iter: I) -> Self {
-        let mut list = Self::new();
-        for addr in iter {
-            list.push(addr);
-        }
-        list
-    }
-}
-
 /// One warp instruction, as seen by the timing model.
-//
-// The size asymmetry is deliberate: boxing `Memory` (clippy's suggestion)
-// would put a heap allocation back on the per-op issue path, which is the
-// cost `AddrList` exists to remove.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpOp {
     /// A non-memory instruction (or a fused run of them): the warp cannot
     /// issue again for `cycles` cycles.
@@ -82,11 +65,9 @@ pub enum WarpOp {
     },
     /// A memory instruction, already coalesced into one virtual address
     /// per distinct cache line touched by the warp's 32 lanes (1 address
-    /// = fully converged, 32 = fully divergent).
-    Memory {
-        /// Per-transaction virtual addresses.
-        addresses: AddrList,
-    },
+    /// = fully converged, 32 = fully divergent). The addresses are in
+    /// the list passed to [`WarpStream::next_op`].
+    Memory,
     /// The warp has retired its last instruction.
     Exit,
 }
@@ -94,8 +75,10 @@ pub enum WarpOp {
 /// A source of warp instructions. Implemented by the synthetic workload
 /// generators; finite streams end by returning [`WarpOp::Exit`] forever.
 pub trait WarpStream: std::fmt::Debug {
-    /// Produces the warp's next instruction.
-    fn next_op(&mut self) -> WarpOp;
+    /// Produces the warp's next instruction. For [`WarpOp::Memory`] the
+    /// stream replaces the contents of `addrs` with the op's per-transaction
+    /// addresses; other ops leave `addrs` unspecified.
+    fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp;
 }
 
 /// Checkpoint/restore of a warp stream's cursor, required of streams
@@ -120,8 +103,8 @@ pub trait StreamCheckpoint {
 /// Blanket stream over a boxed stream (so `Box<dyn WarpStream>` is itself
 /// a stream).
 impl WarpStream for Box<dyn WarpStream> {
-    fn next_op(&mut self) -> WarpOp {
-        (**self).next_op()
+    fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp {
+        (**self).next_op(addrs)
     }
 }
 
@@ -184,7 +167,7 @@ mod tests {
     #[derive(Debug)]
     struct Three(u32);
     impl WarpStream for Three {
-        fn next_op(&mut self) -> WarpOp {
+        fn next_op(&mut self, _addrs: &mut AddrList) -> WarpOp {
             if self.0 == 0 {
                 WarpOp::Exit
             } else {
@@ -197,10 +180,11 @@ mod tests {
     #[test]
     fn boxed_stream_delegates() {
         let mut s: Box<dyn WarpStream> = Box::new(Three(2));
-        assert_eq!(s.next_op(), WarpOp::Compute { cycles: 1 });
-        assert_eq!(s.next_op(), WarpOp::Compute { cycles: 1 });
-        assert_eq!(s.next_op(), WarpOp::Exit);
-        assert_eq!(s.next_op(), WarpOp::Exit, "exit is sticky");
+        let mut addrs = AddrList::new();
+        assert_eq!(s.next_op(&mut addrs), WarpOp::Compute { cycles: 1 });
+        assert_eq!(s.next_op(&mut addrs), WarpOp::Compute { cycles: 1 });
+        assert_eq!(s.next_op(&mut addrs), WarpOp::Exit);
+        assert_eq!(s.next_op(&mut addrs), WarpOp::Exit, "exit is sticky");
     }
 
     #[test]

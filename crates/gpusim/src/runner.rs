@@ -75,6 +75,78 @@ const _: () = {
     assert_send_sync::<Workload>();
 };
 
+/// The scheduler's priority queue: every live SM keyed by its local
+/// clock, smallest first, ties to the *higher* SM index — the order a
+/// `BinaryHeap<(Reverse<Cycle>, usize)>` pops in. Each entry is one
+/// packed `u64`, `clock << 16 | (0xffff - sm)`, in a min-heap: keys are
+/// unique (the index breaks ties), so the smallest key is exactly the
+/// tuple heap's maximum and both pop the same sequence.
+#[derive(Debug)]
+pub(crate) struct SmHeap(BinaryHeap<Reverse<u64>>);
+
+impl SmHeap {
+    /// Number of low key bits holding the (inverted) SM index.
+    const SM_BITS: u32 = 16;
+    const SM_MASK: u64 = (1 << Self::SM_BITS) - 1;
+
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SmHeap(BinaryHeap::with_capacity(n))
+    }
+
+    /// Packs `(clock, sm)`, refusing inputs that would alias another key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm >= 0xffff` or `clock >= 2^48`.
+    fn key(clock: Cycle, sm: usize) -> u64 {
+        assert!((sm as u64) < Self::SM_MASK, "SM index {sm} does not fit the scheduler key");
+        let clock = clock.as_u64();
+        assert!(
+            clock < 1 << (64 - Self::SM_BITS),
+            "SM clock {clock} does not fit the scheduler key"
+        );
+        clock << Self::SM_BITS | (Self::SM_MASK - sm as u64)
+    }
+
+    fn unpack(key: u64) -> (Cycle, usize) {
+        (Cycle::new(key >> Self::SM_BITS), (Self::SM_MASK - (key & Self::SM_MASK)) as usize)
+    }
+
+    pub(crate) fn push(&mut self, clock: Cycle, sm: usize) {
+        self.0.push(Reverse(Self::key(clock, sm)));
+    }
+
+    /// The next SM to run and its clock.
+    pub(crate) fn peek(&self) -> Option<(Cycle, usize)> {
+        self.0.peek().map(|&Reverse(key)| Self::unpack(key))
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(Cycle, usize)> {
+        self.0.pop().map(|Reverse(key)| Self::unpack(key))
+    }
+
+    /// Re-queues the top SM at its new `clock`: one sift-down, with the
+    /// same resulting order as `pop` then `push`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heap is empty.
+    pub(crate) fn rekey_top(&mut self, clock: Cycle) {
+        let mut top = self.0.peek_mut().expect("rekey_top on an empty scheduler heap");
+        let (_, sm) = Self::unpack(top.0);
+        *top = Reverse(Self::key(clock, sm));
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The queued SM indices, in no particular order.
+    pub(crate) fn sms(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().map(|&Reverse(key)| Self::unpack(key).1)
+    }
+}
+
 /// One phase's smallest-clock-first scheduling loop, packaged so the
 /// serial path and the speculative engine (`shard`) drive the *same*
 /// body. [`SchedLoop::step_serial`] is the single source of truth for
@@ -85,7 +157,7 @@ const _: () = {
 pub(crate) struct SchedLoop<'a> {
     pub system: &'a mut GpuSystem,
     pub sms: &'a mut [Sm<AppWarpStream>],
-    pub heap: &'a mut BinaryHeap<(Reverse<Cycle>, usize)>,
+    pub heap: &'a mut SmHeap,
     pub active_per_app: &'a mut [usize],
     pub layouts: &'a [AppLayout],
     pub phase: u32,
@@ -96,10 +168,11 @@ pub(crate) struct SchedLoop<'a> {
 }
 
 impl SchedLoop<'_> {
-    /// Pops and fully processes the SM with the smallest local clock.
-    /// Returns `false` once the heap is empty (phase complete).
+    /// Fully processes the SM with the smallest local clock, re-keying
+    /// it in place (or popping it once it retires). Returns `false` once
+    /// the heap is empty (phase complete).
     pub(crate) fn step_serial(&mut self) -> bool {
-        let Some((_, idx)) = self.heap.pop() else {
+        let Some((_, idx)) = self.heap.peek() else {
             return false;
         };
         let still_active = self.sms[idx].advance(self.system);
@@ -131,8 +204,9 @@ impl SchedLoop<'_> {
             }
         }
         if still_active {
-            self.heap.push((Reverse(self.sms[idx].now()), idx));
+            self.heap.rekey_top(self.sms[idx].now());
         } else {
+            self.heap.pop();
             let app = self.sms[idx].asid().0 as usize;
             self.active_per_app[app] -= 1;
             if self.active_per_app[app] == 0 {
@@ -248,7 +322,7 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
     // monomorphized over `AppWarpStream` so warp issue is static dispatch
     // with no per-warp box.
     let mut sms: Vec<Sm<AppWarpStream>> = Vec::with_capacity(total_sms);
-    let mut heap: BinaryHeap<(Reverse<Cycle>, usize)> = BinaryHeap::with_capacity(total_sms);
+    let mut heap = SmHeap::with_capacity(total_sms);
 
     for phase in 0..phases {
         // Partition SMs and build their warps for this phase's grid. The
@@ -291,7 +365,9 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
 
         // Smallest-clock-first scheduling loop.
         heap.clear();
-        heap.extend((0..sms.len()).map(|i| (Reverse(Cycle::ZERO), i)));
+        for i in 0..sms.len() {
+            heap.push(Cycle::ZERO, i);
+        }
         let mut active_per_app: Vec<usize> = (0..n).map(|i| sm_share(total_sms, n, i)).collect();
         let mut sched = SchedLoop {
             system: &mut system,
@@ -428,6 +504,55 @@ mod tests {
         });
         cfg.system.sm_count = 6;
         cfg
+    }
+
+    /// Random push / re-key / pop traces, with clocks drawn from a few
+    /// values so ties are common, pop the same `(cycle, sm)` sequence
+    /// from `SmHeap` as from the tuple heap it replaced.
+    #[test]
+    fn sm_heap_pops_like_the_tuple_heap() {
+        for seed in 0..32 {
+            let mut rng = SimRng::from_seed(seed);
+            let mut heap = SmHeap::with_capacity(0);
+            let mut reference: BinaryHeap<(Reverse<Cycle>, usize)> = BinaryHeap::new();
+            let n = 1 + rng.below(130) as usize;
+            for sm in 0..n {
+                let clock = Cycle::new(rng.below(4));
+                heap.push(clock, sm);
+                reference.push((Reverse(clock), sm));
+            }
+            while let Some(&(Reverse(clock), sm)) = reference.peek() {
+                assert_eq!(heap.peek(), Some((clock, sm)), "seed {seed}");
+                if rng.chance(0.1) {
+                    assert_eq!(heap.pop(), Some((clock, sm)));
+                    reference.pop();
+                } else {
+                    let later = clock + rng.below(3);
+                    heap.rekey_top(later);
+                    reference.pop();
+                    reference.push((Reverse(later), sm));
+                }
+            }
+            assert_eq!(heap.peek(), None);
+        }
+        // The extremes of both fields round-trip.
+        let mut heap = SmHeap::with_capacity(2);
+        heap.push(Cycle::new((1 << 48) - 1), 0);
+        heap.push(Cycle::new((1 << 48) - 1), 0xfffe);
+        assert_eq!(heap.pop(), Some((Cycle::new((1 << 48) - 1), 0xfffe)));
+        assert_eq!(heap.pop(), Some((Cycle::new((1 << 48) - 1), 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "SM index 65535 does not fit")]
+    fn sm_heap_rejects_an_sm_index_that_would_alias() {
+        SmHeap::with_capacity(1).push(Cycle::ZERO, 0xffff);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the scheduler key")]
+    fn sm_heap_rejects_a_clock_that_would_alias() {
+        SmHeap::with_capacity(1).push(Cycle::new(1 << 48), 0);
     }
 
     #[test]

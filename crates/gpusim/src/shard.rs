@@ -48,7 +48,6 @@ use mosaic_sim_core::Cycle;
 use mosaic_telemetry::{emit, AccessTimeline, Event, MemSink, StallBucket};
 use mosaic_vm::{AppId, PageTableSet, PhysFrameNum, Tlb, TlbLookupUndo, VirtAddr};
 use mosaic_workloads::{AppWarpStream, AppWarpStreamState};
-use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Unconsumed-step target per lane chain. Deep enough to amortize the
@@ -291,13 +290,13 @@ pub(crate) fn run_phase(sched: &mut SchedLoop<'_>, threads: usize) {
     let mut lanes: Vec<Lane> = (0..n).map(|_| Lane::new()).collect();
     let mut refill_flags = vec![false; n];
     let mut alive = vec![false; n];
-    for &(_, i) in sched.heap.iter() {
+    for i in sched.heap.sms() {
         alive[i] = true;
     }
     let mut stats_committed: Vec<SmStats> = sched.sms.iter().map(|s| s.stats()).collect();
     let tracing = mosaic_telemetry::enabled();
 
-    while let Some(&(Reverse(_), idx)) = sched.heap.peek() {
+    while let Some((_, idx)) = sched.heap.peek() {
         if lanes[idx].unconsumed() > 0 {
             consume_step(sched, &mut lanes, &mut stats_committed, idx);
         } else if lanes[idx].barrier {
@@ -316,7 +315,7 @@ pub(crate) fn run_phase(sched: &mut SchedLoop<'_>, threads: usize) {
                 *stats = sched.sms[i].stats();
             }
             alive.fill(false);
-            for &(_, i) in sched.heap.iter() {
+            for i in sched.heap.sms() {
                 alive[i] = true;
             }
         } else {
@@ -343,8 +342,7 @@ fn consume_step(
     stats_committed: &mut [SmStats],
     idx: usize,
 ) {
-    let popped = sched.heap.pop();
-    debug_assert!(matches!(popped, Some((_, i)) if i == idx));
+    debug_assert!(matches!(sched.heap.peek(), Some((_, i)) if i == idx));
     let lane = &mut lanes[idx];
     let step_idx = lane.consumed;
     lane.consumed += 1;
@@ -382,7 +380,7 @@ fn consume_step(
             *sched.next_audit = (now / every + 1) * every;
         }
     }
-    sched.heap.push((Reverse(step.post_now), idx));
+    sched.heap.rekey_top(step.post_now);
 }
 
 /// Rolls back every unconsumed speculated step, newest first per lane,

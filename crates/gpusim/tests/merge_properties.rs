@@ -141,8 +141,8 @@ fn thread_count_beyond_lane_count_is_clamped_and_identical() {
 fn canonical_merge_order_is_invariant_under_worker_reordering() {
     // The merge applies cross-lane effects keyed by (cycle, lane-index)
     // in the scheduling heap's order: ascending cycle, descending lane on
-    // ties (BinaryHeap<(Reverse<Cycle>, usize)> pops the max lane index
-    // among equal cycles). Workers may *produce* steps in any order; the
+    // ties (the scheduler's packed `clock << 16 | (0xffff - lane)` min-heap
+    // pops the max lane index among equal cycles). Workers may *produce* steps in any order; the
     // commit sequence is a sort by that key, so shuffling production
     // order and re-sorting must round-trip for any interleaving.
     let canonical_key = |cycle: u64, lane: usize| (cycle, usize::MAX - lane);

@@ -51,11 +51,26 @@ impl CacheConfig {
     }
 }
 
+/// One cache line in 16 bytes: the dirty bit rides in the low bit of the
+/// recency word, `stamp = tick << 1 | dirty`. Ticks are unique within a
+/// cache, so ordering lines by `stamp` orders them by recency and picks
+/// the same LRU victim a separate `last_used` field would.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
-    last_used: u64,
-    dirty: bool,
+    stamp: u64,
+}
+
+impl Line {
+    const EMPTY: Line = Line { tag: 0, stamp: 0 };
+
+    fn new(tag: u64, tick: u64, dirty: bool) -> Self {
+        Line { tag, stamp: tick << 1 | u64::from(dirty) }
+    }
+
+    fn dirty(self) -> bool {
+        self.stamp & 1 == 1
+    }
 }
 
 /// Upper bound on associativity supported by [`Cache::access_logged`]'s
@@ -133,7 +148,7 @@ impl Cache {
         let sets = config.sets();
         Cache {
             config,
-            lines: vec![Line { tag: 0, last_used: 0, dirty: false }; sets as usize * config.assoc],
+            lines: vec![Line::EMPTY; sets as usize * config.assoc],
             lens: vec![0; sets as usize],
             num_sets: sets,
             line_shift: config
@@ -179,33 +194,32 @@ impl Cache {
         let base = set_idx * assoc;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.lines[base..base + len];
-        // One pass finds the hit and the LRU victim together. Ticks are
+        // One pass finds the hit and the LRU victim together. Stamps are
         // unique within the cache, so strict `<` keeps the same
         // (first-minimum) victim the separate `min_by_key` pass chose.
         let mut lru_idx = 0;
-        let mut lru_tick = u64::MAX;
+        let mut lru_stamp = u64::MAX;
         for (i, line) in set.iter_mut().enumerate() {
             if line.tag == tag {
-                line.last_used = tick;
-                line.dirty |= write;
+                *line = Line::new(tag, tick, line.dirty() || write);
                 self.stats.record(true);
                 return true;
             }
-            if line.last_used < lru_tick {
-                lru_tick = line.last_used;
+            if line.stamp < lru_stamp {
+                lru_stamp = line.stamp;
                 lru_idx = i;
             }
         }
         self.stats.record(false);
         if len < assoc {
-            self.lines[base + len] = Line { tag, last_used: tick, dirty: write };
+            self.lines[base + len] = Line::new(tag, tick, write);
             self.lens[set_idx] += 1;
         } else {
             let victim = &mut self.lines[base + lru_idx];
-            if victim.dirty {
+            if victim.dirty() {
                 self.writebacks += 1;
             }
-            *victim = Line { tag, last_used: tick, dirty: write };
+            *victim = Line::new(tag, tick, write);
         }
         false
     }
@@ -232,7 +246,7 @@ impl Cache {
         );
         let (set_idx, _) = self.split(addr);
         let base = set_idx * assoc;
-        let mut lines = [Line { tag: 0, last_used: 0, dirty: false }; LOGGED_ASSOC_MAX];
+        let mut lines = [Line::EMPTY; LOGGED_ASSOC_MAX];
         lines[..assoc].copy_from_slice(&self.lines[base..base + assoc]);
         undo.push(CacheAccessUndo {
             tick: self.tick,
@@ -272,7 +286,7 @@ impl Cache {
         for (set_idx, len) in self.lens.iter_mut().enumerate() {
             let base = set_idx * assoc;
             let live = &self.lines[base..base + *len as usize];
-            self.writebacks += live.iter().filter(|l| l.dirty).count() as u64;
+            self.writebacks += live.iter().filter(|l| l.dirty()).count() as u64;
             *len = 0;
         }
     }
@@ -401,6 +415,96 @@ mod tests {
             }
             assert_eq!(format!("{cache:?}"), snapshot, "undo must restore the pre-chain state");
             cache = twin;
+        }
+    }
+
+    /// The pre-packing line layout (`last_used` and `dirty` as separate
+    /// fields), with the LRU policy it ran, as the reference for the
+    /// packed `stamp`.
+    struct ReferenceCache {
+        sets: Vec<Vec<(u64, u64, bool)>>,
+        assoc: usize,
+        line_size: u64,
+        tick: u64,
+        writebacks: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(config: CacheConfig) -> Self {
+            ReferenceCache {
+                sets: vec![Vec::new(); config.sets() as usize],
+                assoc: config.assoc,
+                line_size: config.line_size,
+                tick: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> bool {
+            self.tick += 1;
+            let line = addr / self.line_size;
+            let set_idx = (line % self.sets.len() as u64) as usize;
+            let set = &mut self.sets[set_idx];
+            if let Some(l) = set.iter_mut().find(|l| l.0 == line) {
+                l.1 = self.tick;
+                l.2 |= write;
+                return true;
+            }
+            if set.len() < self.assoc {
+                set.push((line, self.tick, write));
+            } else {
+                let victim = set.iter_mut().min_by_key(|l| l.1).expect("full set");
+                self.writebacks += u64::from(victim.2);
+                *victim = (line, self.tick, write);
+            }
+            false
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.sets {
+                self.writebacks += set.iter().filter(|l| l.2).count() as u64;
+                set.clear();
+            }
+        }
+    }
+
+    /// Every set of `cache`, unpacked to `(tag, tick, dirty)` in way order.
+    fn unpacked_sets(cache: &Cache) -> Vec<Vec<(u64, u64, bool)>> {
+        let assoc = cache.config.assoc;
+        (0..cache.lens.len())
+            .map(|s| {
+                let live = &cache.lines[s * assoc..s * assoc + cache.lens[s] as usize];
+                live.iter().map(|l| (l.tag, l.stamp >> 1, l.dirty())).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_stamps_match_a_separate_dirty_bit_reference() {
+        use mosaic_sim_core::SimRng;
+        let tiny = CacheConfig { capacity: 256, line_size: 64, assoc: 2, latency: 1 };
+        for config in [CacheConfig::paper_l1(), CacheConfig::paper_l2_slice(), tiny] {
+            let mut rng = SimRng::from_seed(0x057A_49ED);
+            let mut cache = Cache::new(config);
+            let mut reference = ReferenceCache::new(config);
+            // A footprint of ~3x the capacity keeps every set evicting.
+            let lines = config.lines() * 3;
+            for step in 0..20_000 {
+                let addr = rng.below(lines) * config.line_size + rng.below(config.line_size);
+                let write = rng.chance(0.3);
+                let hit = cache.access(addr, write);
+                assert_eq!(hit, reference.access(addr, write), "hit/miss at step {step}");
+                assert_eq!(cache.writebacks(), reference.writebacks, "step {step}");
+                if step % 997 == 0 {
+                    // Same lines in the same ways: the same victims.
+                    assert_eq!(unpacked_sets(&cache), reference.sets, "step {step}");
+                }
+            }
+            assert_eq!(unpacked_sets(&cache), reference.sets);
+            cache.flush();
+            reference.flush();
+            assert_eq!(cache.writebacks(), reference.writebacks, "flush writes back dirty lines");
+            assert_eq!(cache.occupancy(), 0);
         }
     }
 

@@ -142,15 +142,23 @@ impl fmt::Display for Ratio {
 /// assert_eq!(h.min(), Some(10));
 /// assert_eq!(h.max(), Some(20));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
     sum: u128,
     min: Option<u64>,
     max: Option<u64>,
     /// bucket index `i` counts samples in `[2^i, 2^(i+1))`; index 0 also
-    /// holds zero-valued samples.
-    buckets: BTreeMap<u8, u64>,
+    /// holds zero-valued samples. One slot per possible `u64` magnitude,
+    /// so `record` is an indexed add.
+    buckets: [u64; 64],
+}
+
+// Hand-written: `[u64; 64]` has no `Default` impl.
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram { count: 0, sum: 0, min: None, max: None, buckets: [0; 64] }
+    }
 }
 
 impl Histogram {
@@ -160,8 +168,8 @@ impl Histogram {
         self.sum += u128::from(value);
         self.min = Some(self.min.map_or(value, |m| m.min(value)));
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
-        let bucket = if value == 0 { 0 } else { 63 - value.leading_zeros() as u8 };
-        *self.buckets.entry(bucket).or_insert(0) += 1;
+        let bucket = if value == 0 { 0 } else { 63 - value.leading_zeros() as usize };
+        self.buckets[bucket] += 1;
     }
 
     /// Number of samples recorded.
@@ -198,9 +206,14 @@ impl Histogram {
     }
 
     /// Iterates `(bucket_floor, count)` pairs in ascending order, where
-    /// `bucket_floor` is the inclusive lower bound of the bucket.
+    /// `bucket_floor` is the inclusive lower bound of the bucket. Empty
+    /// buckets are skipped.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (if b == 0 { 0 } else { 1u64 << b }, c))
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(b, &c)| (if b == 0 { 0 } else { 1u64 << b }, c))
     }
 
     /// Merges another histogram into this one.
@@ -215,8 +228,8 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += c;
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
     }
 }

@@ -136,3 +136,59 @@ fn empty_aggregates_are_well_defined() {
     assert_eq!(r.rate(), 1.0, "an empty TLB has not missed");
     assert!(r.rate().is_finite());
 }
+
+/// The `BTreeMap<u8, u64>` bucket map `Histogram` used to keep, as the
+/// reference for its flat bucket array.
+fn reference_buckets(samples: &[u64]) -> std::collections::BTreeMap<u8, u64> {
+    let mut map = std::collections::BTreeMap::new();
+    for &v in samples {
+        let bucket = if v == 0 { 0 } else { 63 - v.leading_zeros() as u8 };
+        *map.entry(bucket).or_insert(0) += 1;
+    }
+    map
+}
+
+fn reference_view(map: &std::collections::BTreeMap<u8, u64>) -> Vec<(u64, u64)> {
+    map.iter().map(|(&b, &c)| (if b == 0 { 0 } else { 1u64 << b }, c)).collect()
+}
+
+#[test]
+fn histogram_buckets_merge_and_eq_match_a_btreemap_reference() {
+    for seed in 0..64u64 {
+        let (mut a, mut b, _) = sample_streams(seed);
+        // The extremes of the bucket range are always present.
+        a.extend([0, 1, u64::MAX]);
+        b.push(u64::MAX);
+        let (ha, hb) = (hist_of(&a), hist_of(&b));
+        assert_eq!(ha.buckets().collect::<Vec<_>>(), reference_view(&reference_buckets(&a)));
+        assert_eq!(hb.buckets().collect::<Vec<_>>(), reference_view(&reference_buckets(&b)));
+
+        let mut merged = ha.clone();
+        merged.merge(&hb);
+        let concat: Vec<u64> = a.iter().chain(&b).copied().collect();
+        assert_eq!(
+            merged.buckets().collect::<Vec<_>>(),
+            reference_view(&reference_buckets(&concat)),
+            "merge must add bucket-wise, seed {seed}"
+        );
+
+        // `==` agrees with equality of the reference maps: a reordered
+        // stream is equal, one extra sample in any bucket is not.
+        let mut shuffled = a.clone();
+        shuffled.reverse();
+        assert_eq!(hist_of(&shuffled), ha, "seed {seed}");
+        for extra in [0, 5, 1 << 40, u64::MAX] {
+            let mut longer = a.clone();
+            longer.push(extra);
+            assert_ne!(reference_buckets(&longer), reference_buckets(&a));
+            assert_ne!(hist_of(&longer), ha, "seed {seed}, extra {extra}");
+        }
+        assert_eq!(
+            ha == hb,
+            reference_buckets(&a) == reference_buckets(&b)
+                && (ha.count(), ha.sum(), ha.min(), ha.max())
+                    == (hb.count(), hb.sum(), hb.min(), hb.max()),
+            "seed {seed}"
+        );
+    }
+}

@@ -97,6 +97,11 @@ const FILTER_BUCKETS: usize = 4096;
 #[derive(Debug, Clone)]
 struct TranslationArray {
     sets: Vec<Vec<Slot>>,
+    /// Dense mirror of the slots' page numbers in one flat slab, `assoc`
+    /// entries per set: `pages[set * assoc + way] == sets[set][way].page`
+    /// for every live way, zero past the live ways. Probes scan these
+    /// 8-byte words and read a slot's ASID only on a page match.
+    pages: Vec<u64>,
     assoc: usize,
     tick: u64,
     /// Counting filter over the `(asid, page)` pairs held across all
@@ -133,6 +138,7 @@ impl TranslationArray {
         };
         TranslationArray {
             sets: (0..num_sets).map(|_| Vec::with_capacity(assoc)).collect(),
+            pages: vec![0; num_sets * assoc],
             assoc,
             tick: 0,
             filter: Box::new([0; FILTER_BUCKETS]),
@@ -141,6 +147,25 @@ impl TranslationArray {
 
     fn set_index(&self, page: u64) -> usize {
         (page % self.sets.len() as u64) as usize
+    }
+
+    /// The way of set `idx` holding `(asid, page)`, found through the
+    /// page mirror (the first match, as a scan of the slots would find).
+    fn way_of(&self, idx: usize, asid: AppId, page: u64) -> Option<usize> {
+        let set = &self.sets[idx];
+        let pages = &self.pages[idx * self.assoc..][..set.len()];
+        pages.iter().zip(set).position(|(&p, s)| p == page && s.asid == asid)
+    }
+
+    /// Rewrites set `idx`'s mirror from its slots after removals shifted
+    /// them (live pages, then zeros).
+    fn sync_mirror(&mut self, idx: usize) {
+        let mirror = &mut self.pages[idx * self.assoc..][..self.assoc];
+        let set = &self.sets[idx];
+        for (m, s) in mirror.iter_mut().zip(set) {
+            *m = s.page;
+        }
+        mirror[set.len()..].fill(0);
     }
 
     fn lookup(&mut self, asid: AppId, page: u64) -> bool {
@@ -156,9 +181,9 @@ impl TranslationArray {
             return false;
         }
         let idx = self.set_index(page);
-        match self.sets[idx].iter_mut().find(|s| s.asid == asid && s.page == page) {
-            Some(slot) => {
-                slot.last_used = tick;
+        match self.way_of(idx, asid, page) {
+            Some(way) => {
+                self.sets[idx][way].last_used = tick;
                 true
             }
             None => false,
@@ -192,12 +217,14 @@ impl TranslationArray {
         }
         self.filter[filter_bucket(asid, page)] += 1;
         if set.len() < assoc {
+            self.pages[idx * assoc + set.len()] = page;
             set.push(Slot { asid, page, last_used: tick });
             return None;
         }
         let victim = &mut set[lru_idx];
         let evicted = (victim.asid, victim.page);
         *victim = Slot { asid, page, last_used: tick };
+        self.pages[idx * assoc + lru_idx] = page;
         self.filter[filter_bucket(evicted.0, evicted.1)] -= 1;
         Some(evicted)
     }
@@ -210,12 +237,12 @@ impl TranslationArray {
             return false;
         }
         let idx = self.set_index(page);
-        let set = &mut self.sets[idx];
-        let before = set.len();
-        set.retain(|s| !(s.asid == asid && s.page == page));
-        if set.len() == before {
+        let Some(way) = self.way_of(idx, asid, page) else {
             return false; // filter collision, not a resident entry
-        }
+        };
+        // Pairs are unique within a set, so this is the only match.
+        self.sets[idx].remove(way);
+        self.sync_mirror(idx);
         self.filter[bucket] -= 1;
         true
     }
@@ -233,10 +260,12 @@ impl TranslationArray {
     }
 
     /// Removes the slots matching `doomed` from every set (keeping the
-    /// filter in step), returning how many were dropped.
+    /// filter and the page mirror in step), returning how many were
+    /// dropped.
     fn flush_where(&mut self, doomed: impl Fn(&Slot) -> bool) -> usize {
         let mut n = 0;
-        for set in &mut self.sets {
+        for idx in 0..self.sets.len() {
+            let set = &mut self.sets[idx];
             let before = set.len();
             set.retain(|s| {
                 if doomed(s) {
@@ -246,13 +275,17 @@ impl TranslationArray {
                     true
                 }
             });
-            n += before - set.len();
+            if set.len() < before {
+                n += before - set.len();
+                self.sync_mirror(idx);
+            }
         }
         n
     }
 
     fn flush_all(&mut self) -> usize {
         self.filter.fill(0);
+        self.pages.fill(0);
         let mut n = 0;
         for set in &mut self.sets {
             n += set.len();
@@ -272,10 +305,7 @@ impl TranslationArray {
             return None;
         }
         let idx = self.set_index(page);
-        self.sets[idx]
-            .iter()
-            .position(|s| s.asid == asid && s.page == page)
-            .map(|way| (idx, way, self.sets[idx][way].last_used))
+        self.way_of(idx, asid, page).map(|way| (idx, way, self.sets[idx][way].last_used))
     }
 }
 
@@ -305,8 +335,8 @@ struct LastHit {
 /// Saved pre-state of one [`Tlb::lookup_logged`] call, sufficient to
 /// reverse it exactly.
 ///
-/// A lookup never changes entry membership, set order, or the counting
-/// filter — it bumps the recency ticks, refreshes at most one slot's
+/// A lookup never changes entry membership, set order, the page mirror,
+/// or the counting filter — it bumps the recency ticks, refreshes at most one slot's
 /// `last_used` (the hitting slot), updates the three hit-rate ratios,
 /// and replaces the last-hit cache. The record therefore fits in a few
 /// machine words. Undoing is only valid while no *other* TLB mutation
@@ -484,20 +514,10 @@ impl Tlb {
     /// Probes without recording statistics or updating recency (used for
     /// inspection in tests and assertions).
     pub fn peek(&self, asid: AppId, addr: VirtAddr) -> TlbLookup {
-        let lp = addr.large_page().raw();
-        if !self.large.sets.is_empty()
-            && self.large.sets[self.large.set_index(lp)]
-                .iter()
-                .any(|s| s.asid == asid && s.page == lp)
-        {
+        if self.large.find(asid, addr.large_page().raw()).is_some() {
             return TlbLookup::HitLarge;
         }
-        let bp = addr.base_page().raw();
-        if !self.base.sets.is_empty()
-            && self.base.sets[self.base.set_index(bp)]
-                .iter()
-                .any(|s| s.asid == asid && s.page == bp)
-        {
+        if self.base.find(asid, addr.base_page().raw()).is_some() {
             return TlbLookup::HitBase;
         }
         TlbLookup::Miss
@@ -942,10 +962,13 @@ mod tests {
         }
     }
 
-    /// Exhaustively checks that the counting filter stays an exact image
-    /// of the array contents through fill/evict/invalidate/flush churn —
-    /// each bucket must equal the number of resident pairs hashing to it,
-    /// the invariant the shootdown fast path relies on.
+    /// Exhaustively checks that the counting filter and the page mirror
+    /// stay exact images of the array contents through
+    /// fill/evict/invalidate/flush churn. Each filter bucket must equal
+    /// the number of resident pairs hashing to it, the invariant that
+    /// lets a zero bucket skip the set scan on lookup misses and
+    /// single-entry invalidations; each set's mirror must hold its slots'
+    /// pages in way order, then zeros.
     #[test]
     fn presence_filter_tracks_contents_exactly() {
         fn check(tlb: &Tlb) {
@@ -955,6 +978,12 @@ mod tests {
                     expected[filter_bucket(s.asid, s.page)] += 1;
                 }
                 assert_eq!(&expected[..], &arr.filter[..], "filter drifted from set contents");
+                let mut mirror = Vec::new();
+                for set in &arr.sets {
+                    mirror.extend(set.iter().map(|s| s.page));
+                    mirror.resize(mirror.len() + arr.assoc - set.len(), 0);
+                }
+                assert_eq!(mirror, arr.pages, "page mirror drifted from the slots");
             }
         }
         let mut tlb = small_tlb(2, 1);

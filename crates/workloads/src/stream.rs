@@ -31,15 +31,17 @@ const SWEEP_STEP: u64 = 512;
 ///
 /// ```
 /// use mosaic_workloads::{AppLayout, AppProfile, AppWarpStream, ScaleConfig};
-/// use mosaic_gpu::{WarpOp, WarpStream};
+/// use mosaic_gpu::{AddrList, WarpOp, WarpStream};
 /// use mosaic_sim_core::SimRng;
 ///
 /// let profile = AppProfile::by_name("MM").unwrap();
 /// let layout = AppLayout::build(profile, &ScaleConfig::smoke());
 /// let rng = SimRng::from_seed(1);
 /// let mut warp = AppWarpStream::new(profile, &layout, 0, 64, 10, &rng);
+/// let mut addrs = AddrList::new();
 /// // First op is memory (kernels load before they compute).
-/// assert!(matches!(warp.next_op(), WarpOp::Memory { .. }));
+/// assert_eq!(warp.next_op(&mut addrs), WarpOp::Memory);
+/// assert_eq!(addrs.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct AppWarpStream {
@@ -157,50 +159,52 @@ impl AppWarpStream {
         pos
     }
 
-    fn gen_addresses(&mut self) -> AddrList {
+    /// Replaces `out` with the next memory op's addresses.
+    fn gen_addresses(&mut self, out: &mut AddrList) {
+        out.clear();
         if self.layout.small_count > 0 && self.rng.chance(COLD_TOUR_PROB) {
-            return AddrList::one(self.cold_addr());
+            out.push(self.cold_addr());
+            return;
         }
         if self.rng.chance(self.profile.reuse) {
-            return AddrList::one(self.hot_addr());
+            out.push(self.hot_addr());
+            return;
         }
         match self.profile.pattern {
             AccessPattern::Streaming => {
                 let pos = self.advance(SWEEP_STEP);
-                AddrList::one(self.addr(pos))
+                out.push(self.addr(pos));
             }
             AccessPattern::Strided { stride_pages } => {
                 let pos = self.advance(u64::from(stride_pages) * BASE_PAGE_SIZE + SWEEP_STEP);
-                AddrList::one(self.addr(pos))
+                out.push(self.addr(pos));
             }
             AccessPattern::Stencil { touches, row_pages } => {
                 let center = self.advance(SWEEP_STEP);
                 let pitch = u64::from(row_pages) * BASE_PAGE_SIZE;
-                (0..u64::from(touches))
-                    .map(|t| {
-                        // Rows ..., -1, 0, +1, ... around the centre.
-                        let signed = t as i64 - i64::from(touches) / 2;
-                        let off = center as i64 + signed * pitch as i64;
-                        self.addr(off.rem_euclid(self.ws_bytes as i64) as u64)
-                    })
-                    .collect()
+                for t in 0..i64::from(touches) {
+                    // Rows ..., -1, 0, +1, ... around the centre.
+                    let signed = t - i64::from(touches) / 2;
+                    let off = center as i64 + signed * pitch as i64;
+                    out.push(self.addr(off.rem_euclid(self.ws_bytes as i64) as u64));
+                }
             }
-            AccessPattern::RandomGather { fanout } => (0..fanout)
-                .map(|_| {
+            AccessPattern::RandomGather { fanout } => {
+                for _ in 0..fanout {
                     let off = self.rng.below(self.ws_bytes / LINE) * LINE;
-                    self.addr(off)
-                })
-                .collect(),
+                    out.push(self.addr(off));
+                }
+            }
             AccessPattern::Chase => {
                 let off = self.rng.below(self.ws_bytes / LINE) * LINE;
-                AddrList::one(self.addr(off))
+                out.push(self.addr(off));
             }
         }
     }
 }
 
 impl WarpStream for AppWarpStream {
-    fn next_op(&mut self) -> WarpOp {
+    fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp {
         // The compute that trails the final memory op still issues before
         // the warp exits.
         if self.pending_compute {
@@ -222,7 +226,8 @@ impl WarpStream for AppWarpStream {
         }
         self.remaining_mem_ops -= 1;
         self.pending_compute = self.profile.compute_per_mem > 0;
-        WarpOp::Memory { addresses: self.gen_addresses() }
+        self.gen_addresses(addrs);
+        WarpOp::Memory
     }
 }
 
@@ -269,6 +274,7 @@ impl StreamCheckpoint for AppWarpStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::ALL_PROFILES;
     use std::collections::HashSet;
 
     fn stream(name: &str, ws: u64, warp: u64, ops: u64) -> AppWarpStream {
@@ -282,15 +288,23 @@ mod tests {
         AppWarpStream::new(profile, &layout, warp, 64, ops, &SimRng::from_seed(42))
     }
 
+    /// The next op with its addresses (empty unless it is a memory op),
+    /// generated into a fresh buffer.
+    fn op(s: &mut AppWarpStream) -> (WarpOp, Vec<VirtAddr>) {
+        let mut addrs = AddrList::new();
+        let op = s.next_op(&mut addrs);
+        (op, if op == WarpOp::Memory { addrs.to_vec() } else { Vec::new() })
+    }
+
     fn collect_pages(s: &mut AppWarpStream, max_ops: usize) -> HashSet<u64> {
         let mut pages = HashSet::new();
         for _ in 0..max_ops {
-            match s.next_op() {
-                WarpOp::Memory { addresses } => {
+            match op(s) {
+                (WarpOp::Memory, addresses) => {
                     pages.extend(addresses.iter().map(|a| a.base_page().raw()));
                 }
-                WarpOp::Compute { .. } => {}
-                WarpOp::Exit => break,
+                (WarpOp::Compute { .. }, _) => {}
+                (WarpOp::Exit, _) => break,
             }
         }
         pages
@@ -301,7 +315,7 @@ mod tests {
         let mut a = stream("GUPS", 8 << 20, 3, 50);
         let mut b = stream("GUPS", 8 << 20, 3, 50);
         for _ in 0..150 {
-            assert_eq!(a.next_op(), b.next_op());
+            assert_eq!(op(&mut a), op(&mut b));
         }
     }
 
@@ -319,14 +333,14 @@ mod tests {
         let mut s = stream("MM", 4 << 20, 0, 5);
         let mut mem_ops = 0;
         for _ in 0..100 {
-            match s.next_op() {
-                WarpOp::Memory { .. } => mem_ops += 1,
+            match op(&mut s).0 {
+                WarpOp::Memory => mem_ops += 1,
                 WarpOp::Exit => break,
                 _ => {}
             }
         }
         assert_eq!(mem_ops, 5);
-        assert_eq!(s.next_op(), WarpOp::Exit);
+        assert_eq!(op(&mut s).0, WarpOp::Exit);
     }
 
     #[test]
@@ -349,7 +363,7 @@ mod tests {
             let mut s = stream(name, ws, 7, 100);
             let layout = s.layout.clone();
             for _ in 0..300 {
-                if let WarpOp::Memory { addresses } = s.next_op() {
+                if let (WarpOp::Memory, addresses) = op(&mut s) {
                     for a in addresses.iter() {
                         let in_main = a.raw() >= 0x1000_0000 && a.raw() < 0x1000_0000 + ws;
                         let in_small = (0..layout.small_count).any(|i| {
@@ -379,9 +393,9 @@ mod tests {
     #[test]
     fn compute_gaps_follow_memory_ops() {
         let mut s = stream("MM", 4 << 20, 0, 3);
-        assert!(matches!(s.next_op(), WarpOp::Memory { .. }));
-        assert!(matches!(s.next_op(), WarpOp::Compute { .. }));
-        assert!(matches!(s.next_op(), WarpOp::Memory { .. }));
+        assert_eq!(op(&mut s).0, WarpOp::Memory);
+        assert!(matches!(op(&mut s).0, WarpOp::Compute { .. }));
+        assert_eq!(op(&mut s).0, WarpOp::Memory);
     }
 
     /// The checkpoint captures *all* mutable state: restore and replay
@@ -393,12 +407,12 @@ mod tests {
             let mut s = stream(name, 8 << 20, 2, 500);
             // Burn in so cursors and RNG are mid-flight.
             for _ in 0..137 {
-                s.next_op();
+                op(&mut s);
             }
             let saved = s.checkpoint();
-            let reference: Vec<WarpOp> = (0..200).map(|_| s.next_op()).collect();
+            let reference: Vec<_> = (0..200).map(|_| op(&mut s)).collect();
             s.restore(&saved);
-            let replay: Vec<WarpOp> = (0..200).map(|_| s.next_op()).collect();
+            let replay: Vec<_> = (0..200).map(|_| op(&mut s)).collect();
             assert_eq!(reference, replay, "{name}: restore must replay the stream exactly");
         }
     }
@@ -408,7 +422,7 @@ mod tests {
         let mut s = stream("HS", 8 << 20, 0, 50);
         let mut found = false;
         for _ in 0..200 {
-            if let WarpOp::Memory { addresses } = s.next_op() {
+            if let (WarpOp::Memory, addresses) = op(&mut s) {
                 if addresses.len() == 3 {
                     found = true;
                     break;
@@ -416,5 +430,37 @@ mod tests {
             }
         }
         assert!(found, "HS (3-point stencil) should emit 3-transaction instructions");
+    }
+
+    /// One buffer reused across every op (as `Sm` reuses its own) holds
+    /// exactly what a fresh buffer would: no addresses leak from a wider
+    /// earlier op into a narrower later one.
+    #[test]
+    fn reused_buffer_never_leaks_stale_addresses() {
+        for profile in &ALL_PROFILES {
+            let mut reused = stream(profile.name, 8 << 20, 5, 300);
+            let mut fresh = stream(profile.name, 8 << 20, 5, 300);
+            let mut buf = AddrList::new();
+            for _ in 0..700 {
+                let o = reused.next_op(&mut buf);
+                let (expected_op, expected) = op(&mut fresh);
+                assert_eq!(o, expected_op, "{}", profile.name);
+                if o == WarpOp::Memory {
+                    assert_eq!(&buf[..], &expected[..], "{}", profile.name);
+                }
+            }
+        }
+        // The narrow-after-wide case explicitly: GUPS mixes 16-address
+        // gathers with one-address hot-region and cold-tour ops.
+        let mut s = stream("GUPS", 8 << 20, 0, 2_000);
+        let mut buf = AddrList::new();
+        let (mut prev_len, mut narrow_after_wide) = (0, 0);
+        while s.next_op(&mut buf) != WarpOp::Exit {
+            if prev_len == 16 && buf.len() == 1 {
+                narrow_after_wide += 1;
+            }
+            prev_len = buf.len();
+        }
+        assert!(narrow_after_wide > 10, "only {narrow_after_wide} one-address ops after gathers");
     }
 }
