@@ -30,7 +30,7 @@ use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
 use mosaic_experiments as exp;
 use mosaic_experiments::Scope;
-use mosaic_gpusim::{run_workload, ManagerKind, RunConfig, Topology};
+use mosaic_gpusim::{run_workload, ManagerKind, PlacementPolicy, RunConfig, Topology};
 use mosaic_sim_core::Cycle;
 use mosaic_vm::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PageTable, PageTableWalker, PhysAddr,
@@ -166,12 +166,31 @@ fn scaling_sim_threads() {
     mosaic_gpusim::set_sim_threads(None);
 }
 
+fn multi_gpu_cfg() -> RunConfig {
+    sweep_cfg().multi_gpu(2, Topology::FullyConnected)
+}
+
+/// The fleet under the `multigpu` figure's migrate probe: a region moves
+/// to a device once that device has accessed it remotely 8 times.
+fn migrate_cfg() -> RunConfig {
+    multi_gpu_cfg().with_placement(PlacementPolicy::MigrateOnThreshold { threshold: 8 })
+}
+
 fn scaling_multi_gpu() {
-    // The same inner loop on a 2-GPU fleet: placement resolution on
-    // every L1 miss, interconnect queueing, and migration payloads all
-    // ride the shared serial path, which no single-GPU scenario prices.
+    // The same inner loop on a 2-GPU fleet under first-touch placement:
+    // placement resolution on every L1 miss and interconnect queueing
+    // for remote accesses ride the shared serial path, which no
+    // single-GPU scenario prices. First touch never moves a page.
     let w = Workload::from_names(&["MM", "GUPS", "HS"]);
-    black_box(run_workload(&w, sweep_cfg().multi_gpu(2, Topology::FullyConnected)));
+    black_box(run_workload(&w, multi_gpu_cfg()));
+}
+
+fn scaling_multi_gpu_migrate() {
+    // The same fleet under counter-based migration: every re-homed
+    // region copies a 2 MB payload over the interconnect, which prices
+    // the bulk-transfer path the first-touch scenario never takes.
+    let w = Workload::from_names(&["MM", "GUPS", "HS"]);
+    black_box(run_workload(&w, migrate_cfg()));
 }
 
 fn figure(run: fn(Scope) -> String) {
@@ -239,6 +258,7 @@ fn scenarios() -> Vec<Scenario> {
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
         s("scaling/sim_threads", SWEEP_RATIO, scaling_sim_threads),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),
+        s("scaling/multi_gpu_migrate", SWEEP_RATIO, scaling_multi_gpu_migrate),
         s("sweep/fig03", SWEEP_RATIO, || figure(|s| exp::fig03::run(s).to_string())),
         s("sweep/fig08", SWEEP_RATIO, || figure(|s| exp::fig08::run(s).to_string())),
         s("sweep/fig11", SWEEP_RATIO, || figure(|s| exp::fig11::run(s).to_string())),
@@ -536,6 +556,16 @@ mod tests {
         assert!(check_regressions(&results, &[b("micro/a", 4.0, 4.0)]));
         // Unknown scenarios are tolerated.
         assert!(check_regressions(&results, &[b("micro/other", 1.0, 2.0)]));
+    }
+
+    #[test]
+    fn only_the_migrate_scenario_moves_pages() {
+        let w = Workload::from_names(&["MM", "GUPS", "HS"]);
+        let first_touch = run_workload(&w, multi_gpu_cfg()).stats;
+        assert!(first_touch.remote_accesses > 0, "the fleet scenario reaches remote memory");
+        assert_eq!(first_touch.fleet_migrations, 0, "first touch never migrates");
+        let migrate = run_workload(&w, migrate_cfg()).stats;
+        assert!(migrate.fleet_migrations > 0, "the migrate scenario copies pages");
     }
 
     #[test]

@@ -205,6 +205,31 @@ impl ThroughputPort {
         Grant { start, done: start + service }
     }
 
+    /// Grants `n` back-to-back requests that all arrive at `now`, each
+    /// with the port's configured latency, and returns the first and the
+    /// last grant. The port is left exactly as `n` calls to
+    /// [`Self::acquire`] at `now` would leave it.
+    ///
+    /// The closed form is exact: the first request starts at
+    /// `s0 = max(next_issue, now)` and pushes `next_issue` to
+    /// `s0 + occupy > now`, so every later request waits for the one
+    /// before it and request `k` starts at `s0 + k·occupy`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn acquire_burst(&mut self, now: Cycle, n: u64) -> (Grant, Grant) {
+        assert!(n > 0, "a burst needs at least one request");
+        // What `acquire` holds the port for: the interval, which a
+        // serialized port sets to its whole `latency.max(1)` service.
+        let occupy = self.interval;
+        let first = self.next_issue.max(now);
+        let last = first + (n - 1) * occupy;
+        self.next_issue = last + occupy;
+        let grant = |start: Cycle| Grant { start, done: start + self.latency };
+        (grant(first), grant(last))
+    }
+
     /// Earliest cycle a request arriving at `now` could start.
     pub fn next_free(&self, now: Cycle) -> Cycle {
         self.next_issue.max(now)
@@ -312,6 +337,62 @@ mod tests {
         port.acquire(Cycle::new(0));
         let late = port.acquire(Cycle::new(1000));
         assert_eq!(late.start, Cycle::new(1000));
+    }
+
+    /// A small deterministic xorshift stream for the randomized tests.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn burst_matches_repeated_acquire() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for case in 0..400 {
+            let latency = xorshift(&mut rng) % 200;
+            let interval = 1 + xorshift(&mut rng) % 16;
+            let mut port = if case % 2 == 0 {
+                ThroughputPort::pipelined(latency, interval)
+            } else {
+                ThroughputPort::serialized(latency)
+            };
+            // Random prior state, including custom-service requests.
+            let mut t = 0u64;
+            for _ in 0..xorshift(&mut rng) % 6 {
+                t += xorshift(&mut rng) % 300;
+                port.acquire_for(Cycle::new(t), xorshift(&mut rng) % 400);
+            }
+            // Arrive before, at, or after the next free issue slot.
+            let free = port.next_free(Cycle::ZERO).as_u64();
+            let now = match case % 3 {
+                0 => free.saturating_sub(1 + xorshift(&mut rng) % 500),
+                1 => free,
+                _ => free + 1 + xorshift(&mut rng) % 500,
+            };
+            let now = Cycle::new(now);
+            for n in [1u64, 2, 3, 16384] {
+                let mut burst = port.clone();
+                let mut reference = port.clone();
+                let (first, last) = burst.acquire_burst(now, n);
+                let grants: Vec<Grant> = (0..n).map(|_| reference.acquire(now)).collect();
+                assert_eq!(first, grants[0], "case {case}, n {n}: first grant");
+                assert_eq!(last, grants[grants.len() - 1], "case {case}, n {n}: last grant");
+                // The ports stay interchangeable afterwards.
+                let mut later = now;
+                for _ in 0..4 {
+                    later += xorshift(&mut rng) % (interval * 8);
+                    assert_eq!(burst.acquire(later), reference.acquire(later), "case {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one request")]
+    fn empty_burst_panics() {
+        let _ = ThroughputPort::pipelined(10, 1).acquire_burst(Cycle::ZERO, 0);
     }
 
     #[test]
