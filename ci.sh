@@ -24,6 +24,9 @@ echo "    artifacts: target/audit/findings.json, target/audit/closure.json"
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench (the benchmark package builds the simulator crates from source)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo build --release"
 cargo build -q --release --workspace
 
@@ -62,25 +65,17 @@ grep -q 'digest fig08 ad0fedc459c0afa6' target/smoke-sweep.txt
 grep -q 'digest fig03 d3a367a2c8a59907' target/smoke-sweep.txt
 echo "    fig03 and fig08 digests match the golden pins"
 
-echo "==> sim-threads-smoke (sharded engine bit-identity: fig08 at N=4 vs N=1)"
+echo "==> multigpu-smoke (fleet scale-out: byte-diff at --jobs 1 vs 4 + pinned digest)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --sim-threads 1 fig08 > target/sim-threads-n1.txt
+    --digest --jobs 1 multigpu > target/multigpu-serial.txt
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --sim-threads 4 fig08 > target/sim-threads-n4.txt
-diff target/sim-threads-n1.txt target/sim-threads-n4.txt
-echo "    fig08 byte-identical at --sim-threads 1 and 4"
-
-echo "==> multigpu-smoke (fleet scale-out: byte-diff across the parallelism matrix + pinned digest)"
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest --jobs 1 --sim-threads 1 multigpu > target/multigpu-serial.txt
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest --jobs 4 --sim-threads 2 multigpu > target/multigpu-parallel.txt
+    --digest --jobs 4 multigpu > target/multigpu-parallel.txt
 diff target/multigpu-serial.txt target/multigpu-parallel.txt
 # The golden constant from tests/parallel_determinism.rs: the determinism
 # contract for the whole scale-out path (placement, interconnect,
 # migration payloads, remote/migrate stall attribution).
 grep -q 'digest multigpu eea524f5b009c7d8' target/multigpu-serial.txt
-echo "    multigpu byte-identical across the matrix, digest matches the golden pin"
+echo "    multigpu byte-identical at --jobs 1 and 4, digest matches the golden pin"
 
 echo "==> oversubscription smoke (demand-paging engine: evict, write back, prefetch + pinned digest)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \

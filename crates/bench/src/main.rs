@@ -153,19 +153,6 @@ fn sweep_oversubscribed() {
     black_box(run_workload(&w, sweep_cfg().oversubscribed(2.0)));
 }
 
-fn scaling_sim_threads() {
-    // The speculative sharded engine (DESIGN.md §12) at 4 workers on the
-    // same inner loop as sweep/run_workload. The pair measures intra-run
-    // scaling: on a multicore host this scenario should undercut
-    // sweep/run_workload; on a single hardware thread it instead prices
-    // the speculation overhead (journaling + rollback + thread scopes),
-    // which the 2x gate keeps bounded either way.
-    mosaic_gpusim::set_sim_threads(Some(4));
-    let w = Workload::from_names(&["MM", "GUPS", "HS"]);
-    black_box(run_workload(&w, sweep_cfg()));
-    mosaic_gpusim::set_sim_threads(None);
-}
-
 fn multi_gpu_cfg() -> RunConfig {
     sweep_cfg().multi_gpu(2, Topology::FullyConnected)
 }
@@ -179,7 +166,7 @@ fn migrate_cfg() -> RunConfig {
 fn scaling_multi_gpu() {
     // The same inner loop on a 2-GPU fleet under first-touch placement:
     // placement resolution on every L1 miss and interconnect queueing
-    // for remote accesses ride the shared serial path, which no
+    // for remote accesses ride the post-L1-miss path, which no
     // single-GPU scenario prices. First touch never moves a page.
     let w = Workload::from_names(&["MM", "GUPS", "HS"]);
     black_box(run_workload(&w, multi_gpu_cfg()));
@@ -256,7 +243,6 @@ fn scenarios() -> Vec<Scenario> {
         s("micro/manager_touch", MICRO_RATIO, micro_manager_touch),
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
-        s("scaling/sim_threads", SWEEP_RATIO, scaling_sim_threads),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),
         s("scaling/multi_gpu_migrate", SWEEP_RATIO, scaling_multi_gpu_migrate),
         s("sweep/fig03", SWEEP_RATIO, || figure(|s| exp::fig03::run(s).to_string())),

@@ -4,7 +4,7 @@
 //! the same value, across processes and machines), *complete* (every
 //! input that can change simulated output is part of the key), and
 //! *canonical* (irrelevant presentation details — field ordering,
-//! host-side execution knobs like `--jobs`/`--sim-threads` — cannot
+//! host-side execution knobs like `--jobs` — cannot
 //! move the key). [`KeyBuilder`] enforces canonical form by sorting
 //! fields by name before hashing; [`run_key`] enumerates exactly the
 //! inputs of [`mosaic_gpusim::run_workload`].
@@ -161,8 +161,8 @@ impl KeyBuilder {
 ///
 /// * `audit_every` — runtime invariant audits are side-effect free;
 ///   audited and unaudited runs of the same config are bit-identical.
-/// * `--jobs` / `--sim-threads` — host-side execution knobs that never
-///   reach [`RunConfig`]; output is byte-identical at any setting.
+/// * `--jobs` — a host-side execution knob that never reaches
+///   [`RunConfig`]; output is byte-identical at any setting.
 pub fn run_key(workload: &Workload, cfg: &RunConfig, code: Digest) -> Digest {
     let apps: Vec<&str> = workload.apps.iter().map(|p| p.name).collect();
     let mut k = KeyBuilder::new();

@@ -5,9 +5,9 @@
 //! Completeness is what protects golden output — an output-affecting
 //! knob missing from the key would let two different runs share one
 //! entry, serving wrong results. Canonicity is what makes the cache
-//! useful — host-side execution knobs (`--jobs`, `--sim-threads`,
-//! `audit_every`) must not fork the key space, or re-runs under
-//! different parallelism would never hit.
+//! useful — host-side execution knobs (`--jobs`, `audit_every`) must
+//! not fork the key space, or re-runs under different parallelism would
+//! never hit.
 
 use mosaic_campaign::digest::{run_key, Digest};
 use mosaic_core::cac::CacConfig;
@@ -39,10 +39,10 @@ fn output_neutral_knobs_do_not_move_the_key() {
     for audited in [cfg.audited(0), cfg.audited(1), cfg.audited(1_000_000)] {
         assert_eq!(run_key(&w, &audited, CODE), k, "audit_every must be key-neutral");
     }
-    // `--jobs` and `--sim-threads` never reach RunConfig at all (they
-    // are process-global executor settings with byte-identical output at
-    // any value), so the key cannot depend on them by construction; the
-    // sweep-level determinism tier pins that output property.
+    // `--jobs` never reaches RunConfig at all (it is a process-global
+    // executor setting with byte-identical output at any value), so the
+    // key cannot depend on it by construction; the sweep-level
+    // determinism tier pins that output property.
 }
 
 /// Every output-affecting `RunConfig` field (and the workload, and the

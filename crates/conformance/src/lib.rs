@@ -9,10 +9,6 @@
 //! * a frame ledger inside [`run_mgr_case`] that re-derives every number a
 //!   manager promises (fault counts, transferred bytes, event/counter
 //!   agreement, the CoCoA soft guarantee) from the op stream alone;
-//! * the sequential simulation engine itself, as the oracle for the
-//!   speculative sharded engine — [`run_engine_case`] runs each generated
-//!   full-system configuration at `--sim-threads 1` and at the campaign's
-//!   worker count and demands bit-identical results ([`engine`] module);
 //! * a frame-residency oracle for multi-GPU placement — [`run_multigpu_case`]
 //!   replays randomized fleet access schedules through
 //!   [`mosaic_core::PlacementMap`] and a naive set-based residency model
@@ -35,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod fuzz;
 pub mod harness;
 pub mod multigpu;
@@ -43,7 +38,6 @@ pub mod ops;
 pub mod oracle;
 pub mod shrink;
 
-pub use engine::{gen_engine_case, render_engine_repro, run_engine_case, EngineCase};
 pub use fuzz::{run_fuzz, FuzzConfig, FuzzFailure, FuzzStats, Suite};
 pub use harness::{run_mgr_case, run_vm_case, Divergence, MgrKind, Mutation, VmConfigKind};
 pub use multigpu::{

@@ -13,12 +13,6 @@
 //! sweep executor; the default is the machine's available parallelism.
 //! Output is byte-identical for every job count.
 //!
-//! `--sim-threads N` (or `MOSAIC_SIM_THREADS=N`) sets the speculation
-//! worker count *inside* each simulation (DESIGN.md §12). Where `--jobs`
-//! parallelises across sweep points, `--sim-threads` parallelises a
-//! single run; the two compose, and output stays byte-identical for
-//! every combination. The default is 1 (the serial engine).
-//!
 //! `--trace FILE` records every simulated event of every sweep run to
 //! `FILE` as JSONL (one `run_begin` line per run, then its events);
 //! validate or convert it with the `mosaic-trace` binary. `--stall-report`
@@ -145,40 +139,6 @@ fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
         }
     }
     jobs
-}
-
-/// Strips `--sim-threads N` / `--sim-threads=N` out of `args` and returns
-/// the parsed intra-run worker count, exiting with a usage error on a
-/// malformed value.
-fn take_sim_threads_flag(args: &mut Vec<String>) -> Option<usize> {
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--sim-threads" {
-            if i + 1 >= args.len() {
-                eprintln!("--sim-threads requires a worker count");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            v
-        } else if let Some(v) = args[i].strip_prefix("--sim-threads=") {
-            let v = v.to_string();
-            args.remove(i);
-            v
-        } else {
-            i += 1;
-            continue;
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => threads = Some(n),
-            _ => {
-                eprintln!("--sim-threads expects a positive integer, got {value:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads
 }
 
 /// Strips `--trace FILE` / `--trace=FILE` out of `args` and returns the
@@ -325,6 +285,18 @@ fn run_campaign(sub: &[String], cache_dir: Option<String>, no_cache: bool) {
     }
 }
 
+/// Prints the command-line synopsis and exits with status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: reproduce [--jobs N] [--digest] [--stall-report] [--trace FILE]\n\
+         \x20                [--cache-dir DIR] [--no-cache] [all | stall | EXPERIMENT...]\n\
+         \x20      reproduce campaign run|expand|status FILE [--cache-dir DIR] [--no-cache]\n\
+         experiments: {}",
+        ALL.join(" ")
+    );
+    std::process::exit(2);
+}
+
 /// Default store location for the `campaign` subcommand (figure drivers
 /// only cache when a directory is given explicitly).
 const DEFAULT_CACHE_DIR: &str = "target/mosaic-cache";
@@ -333,7 +305,6 @@ fn main() {
     let scope = Scope::from_env();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     exp::sweep::set_jobs(take_jobs_flag(&mut args));
-    mosaic_gpusim::set_sim_threads(take_sim_threads_flag(&mut args));
     let cache_dir = take_cache_dir_flag(&mut args);
     let no_cache = {
         let before = args.len();
@@ -368,6 +339,18 @@ fn main() {
         args.retain(|a| a != "--digest");
         args.len() != before
     };
+    // Validate the whole command line before any experiment runs, so a
+    // typo at the end of a long list fails in milliseconds.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown option {flag}");
+        usage();
+    }
+    if let Some(other) =
+        args.iter().find(|a| !matches!(a.as_str(), "all" | "stall") && !ALL.contains(&a.as_str()))
+    {
+        eprintln!("unknown experiment {other}");
+        usage();
+    }
     if trace_path.is_some() {
         exp::sweep::set_trace(true);
     }
@@ -386,11 +369,6 @@ fn main() {
     eprintln!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
         exp::Executor::from_env().jobs()
-    );
-    eprintln!(
-        "sim-threads: {} (set with --sim-threads N or MOSAIC_SIM_THREADS=N; \
-         intra-run speculation workers, output is identical at any count)",
-        mosaic_gpusim::sim_threads()
     );
 
     let mut results = Vec::new();
@@ -425,10 +403,7 @@ fn main() {
                 );
                 emit("ablation_multikernel", exp::ablations::multi_kernel(scope), &mut results);
             }
-            other => {
-                eprintln!("unknown experiment {other}; available: {ALL:?}");
-                std::process::exit(2);
-            }
+            _ => unreachable!("names are validated before the first run"),
         }
         eprintln!("[{name} done in {:.1?}]", t0.elapsed());
     }

@@ -203,25 +203,3 @@ fn multigpu_matches_golden_digest_at_any_jobs() {
     // pins nothing beyond the single-GPU engine.
     assert!(report.contains("4 GPUs"), "placement probe present:\n{report}");
 }
-
-#[test]
-fn multigpu_is_identical_across_the_jobs_and_sim_threads_matrix() {
-    // The two parallelism axes compose: `--jobs` fans sweep points out
-    // across workers, `--sim-threads` speculates inside each fleet run.
-    // Every combination must render the serial fixture byte-for-byte.
-    let serial = &fixture().multigpu;
-    let _guard = lock();
-    for jobs in [1, 4] {
-        for sim_threads in [1, 4] {
-            sweep::set_jobs(Some(jobs));
-            mosaic_gpusim::set_sim_threads(Some(sim_threads));
-            let report = multigpu::run(Scope::Smoke).to_string();
-            sweep::set_jobs(None);
-            mosaic_gpusim::set_sim_threads(None);
-            assert_eq!(
-                serial, &report,
-                "multigpu drifted at --jobs {jobs} --sim-threads {sim_threads}"
-            );
-        }
-    }
-}

@@ -8,7 +8,7 @@
 //! earliest wake-up — those skipped cycles are the *stall cycles* that
 //! TLB misses and far-faults inflate and that Mosaic claws back.
 
-use crate::warp::{AddrList, MemoryInterface, StreamCheckpoint, WarpOp, WarpStream};
+use crate::warp::{AddrList, MemoryInterface, WarpOp, WarpStream};
 use mosaic_sim_core::Cycle;
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBreakdown, StallBucket};
 use mosaic_vm::AppId;
@@ -46,83 +46,6 @@ pub struct SmStats {
     /// ends it (the critical path), so the buckets always sum to
     /// `stall_cycles`.
     pub stall_breakdown: StallBreakdown,
-}
-
-/// Journal reversing one [`Sm::advance_logged`] call: the scalar SM
-/// header (clock, GTO cursor, live count, fence, stats, address buffer —
-/// all mutated unconditionally) plus one record per issued op capturing
-/// the picked warp's pre-issue state, including its stream checkpoint.
-/// `C` is the stream's [`StreamCheckpoint::State`]. Reuse one journal
-/// per speculation slot — [`Sm::advance_logged`] clears and refills the
-/// op vector, so its allocation amortizes across steps.
-#[derive(Debug, Clone)]
-pub struct AdvanceUndo<C> {
-    now: Cycle,
-    current: usize,
-    live: usize,
-    fence: Cycle,
-    fence_cause: StallBucket,
-    stats: SmStats,
-    addrs: AddrList,
-    ops: Vec<OpUndo<C>>,
-}
-
-impl<C> Default for AdvanceUndo<C> {
-    fn default() -> Self {
-        AdvanceUndo {
-            now: Cycle::ZERO,
-            current: 0,
-            live: 0,
-            fence: Cycle::ZERO,
-            fence_cause: StallBucket::Sync,
-            stats: SmStats::default(),
-            addrs: AddrList::new(),
-            ops: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct OpUndo<C> {
-    warp: usize,
-    wake: Cycle,
-    timeline: AccessTimeline,
-    stream: C,
-}
-
-/// Hook the scheduler loop invokes immediately before a picked warp's
-/// stream produces its next op. The serial path uses [`NoOpLog`], which
-/// monomorphizes away; [`Sm::advance_logged`] installs a journal writer.
-/// Keeping one shared loop body (instead of a logged copy of `advance`)
-/// is what guarantees the speculative and serial paths cannot drift.
-trait OpLogger<S: WarpStream> {
-    fn log_op(&mut self, sm: &Sm<S>, warp: usize);
-}
-
-/// The serial no-journal logger.
-struct NoOpLog;
-
-impl<S: WarpStream> OpLogger<S> for NoOpLog {
-    fn log_op(&mut self, _sm: &Sm<S>, _warp: usize) {}
-}
-
-/// Journal writer for [`Sm::advance_logged`].
-struct JournalLog<'a, C> {
-    ops: &'a mut Vec<OpUndo<C>>,
-}
-
-impl<S> OpLogger<S> for JournalLog<'_, S::State>
-where
-    S: WarpStream + StreamCheckpoint,
-{
-    fn log_op(&mut self, sm: &Sm<S>, warp: usize) {
-        self.ops.push(OpUndo {
-            warp,
-            wake: sm.wake[warp],
-            timeline: sm.timelines[warp],
-            stream: sm.streams[warp].checkpoint(),
-        });
-    }
 }
 
 /// The scheduler's next move, from [`Sm::next_warp`].
@@ -287,10 +210,6 @@ impl<S: WarpStream> Sm<S> {
     /// stall jump), charging memory operations to `mem`. Returns `true`
     /// while active.
     pub fn advance(&mut self, mem: &mut dyn MemoryInterface) -> bool {
-        self.advance_impl(mem, &mut NoOpLog)
-    }
-
-    fn advance_impl(&mut self, mem: &mut dyn MemoryInterface, log: &mut impl OpLogger<S>) -> bool {
         if !self.is_active() {
             return false;
         }
@@ -317,7 +236,6 @@ impl<S: WarpStream> Sm<S> {
                 NextWarp::Done => return false,
             };
             self.current = w;
-            log.log_op(self, w);
             match self.streams[w].next_op(&mut self.addrs) {
                 WarpOp::Compute { cycles } => {
                     self.stats.instructions += 1;
@@ -339,13 +257,6 @@ impl<S: WarpStream> Sm<S> {
                         addresses,
                         &mut self.timelines[w],
                     );
-                    if done == Cycle::MAX {
-                        // Abort sentinel: a speculative memory wrapper
-                        // signals "not serviceable locally" and the
-                        // engine rolls this step back via its journal.
-                        // Real memory systems never produce Cycle::MAX.
-                        return true;
-                    }
                     debug_assert!(done >= self.now);
                     // SIMT lockstep: the warp waits for its slowest lane.
                     self.wake[w] = done;
@@ -365,54 +276,6 @@ impl<S: WarpStream> Sm<S> {
             }
         }
         true
-    }
-
-    /// [`Sm::advance`] with a journal: `undo` is cleared and refilled so
-    /// [`Sm::undo_advance`] can reverse the step exactly. The loop body
-    /// is `advance` itself (shared via the logging hook), so outcome,
-    /// statistics, and scheduling are identical to the serial path.
-    /// External effects of memory ops (TLB/cache state, telemetry) are
-    /// *not* covered — the speculative engine journals those at the
-    /// memory-wrapper layer.
-    pub fn advance_logged(
-        &mut self,
-        mem: &mut dyn MemoryInterface,
-        undo: &mut AdvanceUndo<S::State>,
-    ) -> bool
-    where
-        S: StreamCheckpoint,
-    {
-        undo.ops.clear();
-        undo.now = self.now;
-        undo.current = self.current;
-        undo.live = self.live;
-        undo.addrs = self.addrs;
-        undo.fence = self.fence;
-        undo.fence_cause = self.fence_cause;
-        undo.stats = self.stats;
-        self.advance_impl(mem, &mut JournalLog { ops: &mut undo.ops })
-    }
-
-    /// Reverses one [`Sm::advance_logged`] call: per-op warp state is
-    /// restored in reverse issue order, then the SM header. Only valid
-    /// as the inverse of the *most recent* un-undone `advance_logged` on
-    /// this SM.
-    pub fn undo_advance(&mut self, undo: &AdvanceUndo<S::State>)
-    where
-        S: StreamCheckpoint,
-    {
-        for op in undo.ops.iter().rev() {
-            self.wake[op.warp] = op.wake;
-            self.streams[op.warp].restore(&op.stream);
-            self.timelines[op.warp] = op.timeline;
-        }
-        self.now = undo.now;
-        self.current = undo.current;
-        self.live = undo.live;
-        self.addrs = undo.addrs;
-        self.fence = undo.fence;
-        self.fence_cause = undo.fence_cause;
-        self.stats = undo.stats;
     }
 
     /// Runs the SM to completion against `mem` (single-SM convenience for
@@ -467,16 +330,6 @@ mod tests {
             }
         }
     }
-    impl StreamCheckpoint for MemN {
-        type State = u64;
-        fn checkpoint(&self) -> u64 {
-            self.0
-        }
-        fn restore(&mut self, state: &u64) {
-            self.0 = *state;
-        }
-    }
-
     fn sm_with(streams: Vec<Box<dyn WarpStream>>) -> Sm {
         Sm::new(0, AppId(0), SmConfig { warps: streams.len(), batch: 8 }, streams)
     }
@@ -636,78 +489,6 @@ mod tests {
         assert_eq!(sm.asid(), AppId(1));
         sm.run_to_completion(&mut mem);
         assert_eq!(sm.stats().instructions, 14);
-    }
-
-    /// Contract of the speculation journal: every `advance_logged` step
-    /// matches `advance` in lockstep (shared loop body), and undo/redo
-    /// round-trips restore the SM bit-for-bit (compared via `Debug`,
-    /// which covers warps, streams, timelines, clocks, fence, stats).
-    #[test]
-    fn advance_logged_matches_advance_and_undoes_exactly() {
-        let cfg = SmConfig { warps: 4, batch: 8 };
-        let streams = || vec![MemN(6), MemN(4), MemN(9), MemN(2)];
-        let mut plain = Sm::new(1, AppId(0), cfg, streams());
-        let mut logged = Sm::new(1, AppId(0), cfg, streams());
-        plain.stall_until(Cycle::new(10));
-        logged.stall_until(Cycle::new(10));
-        let mut mem_plain = FixedLatencyMemory { latency: 37 };
-        let mut mem_logged = FixedLatencyMemory { latency: 37 };
-        let mut undo = AdvanceUndo::default();
-        loop {
-            let snapshot = format!("{logged:?}");
-            let cont = logged.advance_logged(&mut mem_logged, &mut undo);
-            logged.undo_advance(&undo);
-            assert_eq!(format!("{logged:?}"), snapshot, "undo restores the pre-step state");
-            assert_eq!(logged.advance_logged(&mut mem_logged, &mut undo), cont, "redo replays");
-            assert_eq!(plain.advance(&mut mem_plain), cont, "shared loop body stays in lockstep");
-            assert_eq!(format!("{logged:?}"), format!("{plain:?}"));
-            if !cont {
-                break;
-            }
-        }
-        assert_eq!(logged.stats(), plain.stats());
-    }
-
-    /// An aborted step (memory wrapper returns the `Cycle::MAX`
-    /// sentinel) returns control immediately and leaves no trace once
-    /// its journal is applied.
-    #[test]
-    fn abort_sentinel_rolls_back_cleanly() {
-        #[derive(Debug)]
-        struct FailNth {
-            calls: u64,
-            fail_at: u64,
-        }
-        impl MemoryInterface for FailNth {
-            fn warp_access(
-                &mut self,
-                now: Cycle,
-                _sm: usize,
-                _asid: AppId,
-                _addresses: &[VirtAddr],
-            ) -> Cycle {
-                self.calls += 1;
-                if self.calls == self.fail_at {
-                    Cycle::MAX
-                } else {
-                    now + 5
-                }
-            }
-        }
-        let cfg = SmConfig { warps: 2, batch: 8 };
-        let mut sm = Sm::new(0, AppId(0), cfg, vec![MemN(5), MemN(5)]);
-        let mut mem = FailNth { calls: 0, fail_at: 4 };
-        let mut undo = AdvanceUndo::default();
-        loop {
-            let snapshot = format!("{sm:?}");
-            assert!(sm.advance_logged(&mut mem, &mut undo), "abort still reports active");
-            if mem.calls >= mem.fail_at {
-                // This step hit the sentinel mid-batch; roll it back.
-                sm.undo_advance(&undo);
-                assert_eq!(format!("{sm:?}"), snapshot, "aborted step leaves no trace");
-                break;
-            }
-        }
     }
 
     #[test]

@@ -81,25 +81,6 @@ pub trait WarpStream: std::fmt::Debug {
     fn next_op(&mut self, addrs: &mut AddrList) -> WarpOp;
 }
 
-/// Checkpoint/restore of a warp stream's cursor, required of streams
-/// driven by the speculative engine: rolling back an aborted
-/// [`Sm::advance_logged`](crate::Sm::advance_logged) step must also
-/// rewind the `next_op` calls it consumed. `State` should capture
-/// exactly the stream's mutable fields (cursors, op budgets, RNG state)
-/// — restoring it onto the same stream must make the following
-/// `next_op` calls replay identically.
-pub trait StreamCheckpoint {
-    /// Saved mutable state of the stream.
-    type State: std::fmt::Debug + Clone;
-
-    /// Captures the stream's mutable state.
-    fn checkpoint(&self) -> Self::State;
-
-    /// Restores state captured by [`StreamCheckpoint::checkpoint`] on
-    /// this same stream.
-    fn restore(&mut self, state: &Self::State);
-}
-
 /// Blanket stream over a boxed stream (so `Box<dyn WarpStream>` is itself
 /// a stream).
 impl WarpStream for Box<dyn WarpStream> {

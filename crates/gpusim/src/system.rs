@@ -15,12 +15,12 @@ use mosaic_core::{
 };
 use mosaic_gpu::MemoryInterface;
 use mosaic_iobus::IoBus;
-use mosaic_mem::{Cache, CacheAccessUndo, Crossbar, Dram, Interconnect, FLIT_BYTES};
+use mosaic_mem::{Cache, Crossbar, Dram, Interconnect, FLIT_BYTES};
 use mosaic_sim_core::{Counter, Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
-    AppId, PageSize, PageTableSet, PageTableWalker, PhysAddr, Tlb, TlbLookupUndo, VirtAddr,
-    VirtPageNum, WalkCache, BASE_PAGES_PER_LARGE_PAGE,
+    AppId, PageSize, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum, WalkCache,
+    BASE_PAGES_PER_LARGE_PAGE,
 };
 
 /// Cycles the baseline's full-TLB shootdown stalls the GPU (Figure 6a's
@@ -127,8 +127,7 @@ impl SystemStats {
 /// default configuration).
 ///
 /// Per-SM structures (`l1_tlbs`, `l1_caches`) stay flat, indexed by the
-/// *global* SM id (`gpu × sm_count + local_sm`), so the speculative
-/// engine's borrow split is fleet-oblivious. Per-device structures are
+/// *global* SM id (`gpu × sm_count + local_sm`). Per-device structures are
 /// vectors indexed by GPU; the flattened L2 slice/port vectors use
 /// `gpu × channels + slice`. A single [`MemoryManager`] governs the
 /// fleet's pooled physical memory, while [`PlacementMap`] decides which
@@ -172,32 +171,6 @@ pub struct GpuSystem {
     demand_faults: u64,
     /// Demand faults that re-touched an evicted page.
     refaults: u64,
-}
-
-/// Outcome of the SM-local translation prefix ([`GpuSystem::l1_translate`]):
-/// the part of address translation that touches only per-SM state (the L1
-/// TLB) and read-only shared state (the page tables). Everything past it —
-/// L2 TLB port, walker, fault servicing — mutates shared structures and is
-/// reachable only through the serial path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum L1Translate {
-    /// L1 TLB hit (or ideal-TLB mode with the page resident): translation
-    /// finished locally.
-    Hit {
-        /// Cycle the translation completes.
-        done: Cycle,
-        /// Translated physical address.
-        phys: PhysAddr,
-    },
-    /// Ideal-TLB mode with the page not resident: a far-fault must be
-    /// serviced (shared path).
-    IdealFault,
-    /// Real L1 TLB miss at `l1_done`: the shared L2 TLB / walker path
-    /// must run.
-    Miss {
-        /// Cycle the L1 probe resolved (start of the shared path).
-        l1_done: Cycle,
-    },
 }
 
 impl GpuSystem {
@@ -334,32 +307,6 @@ impl GpuSystem {
             }
         }
         let _migrations_done = self.apply_events(now, &events, 0);
-    }
-
-    /// Disjoint borrows for the speculative engine: each SM's private L1
-    /// state (TLB and cache, mutably) alongside the shared page tables
-    /// and config (immutably). The borrow split is what statically keeps
-    /// speculation workers off the shared memory/VM stack — the manager,
-    /// L2 structures, walker, ports, DRAM, and I/O bus are unreachable
-    /// while the returned borrows live.
-    pub(crate) fn speculation_split(
-        &mut self,
-    ) -> (&RunConfig, &PageTableSet, &mut [Tlb], &mut [Cache]) {
-        (&self.cfg, self.manager.tables(), &mut self.l1_tlbs, &mut self.l1_caches)
-    }
-
-    /// Whether a whole-GPU stall fence is pending without draining it.
-    /// The speculative engine asserts this stays false across committed
-    /// local steps (only shared-path work can raise the fence).
-    pub(crate) fn has_pending_stall(&self) -> bool {
-        self.pending_stall != Cycle::ZERO
-    }
-
-    /// Commits one buffered recency/dirty classification from a
-    /// speculative step, in serial heap order — the deferred twin of the
-    /// inline `note_use` call in `warp_access_timed`.
-    pub(crate) fn note_use_commit(&mut self, frame: mosaic_vm::PhysFrameNum, store: bool) {
-        self.manager.note_use(frame, store);
     }
 
     /// Takes (and clears) the pending whole-GPU stall fence, if any.
@@ -608,10 +555,8 @@ impl GpuSystem {
 
     /// Deterministic store classification for dirty tracking, keyed on
     /// the *virtual* page so the classification survives migration and
-    /// eviction; ~1/4 of pages are write targets. `pub(crate)` so the
-    /// speculative engine buffers the same classification it would have
-    /// committed inline.
-    pub(crate) fn is_store(asid: AppId, vpn: VirtPageNum) -> bool {
+    /// eviction; ~1/4 of pages are write targets.
+    fn is_store(asid: AppId, vpn: VirtPageNum) -> bool {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for w in [u64::from(asid.0), vpn.raw()] {
             h = (h ^ w).wrapping_mul(0x100_0000_01b3);
@@ -659,97 +604,6 @@ impl GpuSystem {
         }
     }
 
-    /// The SM-local translation prefix: ideal-TLB residency check or the
-    /// per-SM L1 TLB probe, shared verbatim by the serial path
-    /// ([`GpuSystem::translate`]) and the speculative engine. Takes
-    /// disjoint borrows instead of `&mut self` so speculation workers can
-    /// call it while the shared memory/VM stack stays untouched; `undo`
-    /// (speculative callers only) journals the TLB probe for exact
-    /// rollback. Marks `tl` and emits exactly as the serial path does.
-    #[allow(clippy::too_many_arguments)] // free function over disjoint borrows of self
-    pub(crate) fn l1_translate(
-        ideal: bool,
-        tables: &PageTableSet,
-        l1: &mut Tlb,
-        now: Cycle,
-        sm: usize,
-        asid: AppId,
-        addr: VirtAddr,
-        tl: &mut AccessTimeline,
-        undo: Option<&mut Vec<TlbLookupUndo>>,
-    ) -> L1Translate {
-        let vpn = addr.base_page();
-        if ideal {
-            // Every request is an L1 TLB hit; only residency is enforced.
-            if tables.table(asid).is_none_or(|t| !t.is_mapped(vpn)) {
-                return L1Translate::IdealFault;
-            }
-            tl.mark(now + 1, StallBucket::TlbHit);
-            let t = tables
-                .table(asid)
-                .expect("app registered")
-                .translate(addr)
-                .expect("mapped page translates");
-            return L1Translate::Hit {
-                done: now + 1,
-                phys: PhysAddr(t.frame.addr().raw() + addr.base_offset()),
-            };
-        }
-
-        // L1 TLB.
-        let l1_done = now + l1.latency();
-        let l1_hit = match undo {
-            Some(journal) => l1.lookup_logged(asid, addr, journal).is_hit(),
-            None => l1.lookup(asid, addr).is_hit(),
-        };
-        emit(|| Event::TlbLookup {
-            level: 1,
-            sm: sm as u32,
-            asid: asid.0,
-            cycle: now.as_u64(),
-            hit: l1_hit,
-        });
-        if l1_hit {
-            tl.mark(l1_done, StallBucket::TlbHit);
-            let t = tables
-                .table(asid)
-                .expect("app registered")
-                .translate(addr)
-                .expect("TLB hit implies resident mapping");
-            return L1Translate::Hit {
-                done: l1_done,
-                phys: PhysAddr(t.frame.addr().raw() + addr.base_offset()),
-            };
-        }
-        L1Translate::Miss { l1_done }
-    }
-
-    /// The SM-local data-access prefix: the per-SM L1 cache probe, shared
-    /// verbatim by the serial path ([`GpuSystem::data_access`]) and the
-    /// speculative engine. Returns `Ok(done)` on an L1 hit (access
-    /// complete, `tl` marked) or `Err(l1_done)` on a miss (the shared
-    /// crossbar/L2/DRAM path must run from `l1_done`). `undo` journals
-    /// the probe for speculative rollback.
-    pub(crate) fn l1_data(
-        l1: &mut Cache,
-        start: Cycle,
-        phys: PhysAddr,
-        tl: &mut AccessTimeline,
-        undo: Option<&mut Vec<CacheAccessUndo>>,
-    ) -> Result<Cycle, Cycle> {
-        let l1_done = start + l1.latency();
-        let hit = match undo {
-            Some(journal) => l1.access_logged(phys.raw(), false, journal),
-            None => l1.access(phys.raw(), false),
-        };
-        if hit {
-            tl.mark(l1_done, StallBucket::Cache);
-            Ok(l1_done)
-        } else {
-            Err(l1_done)
-        }
-    }
-
     /// Translates `addr` for SM `sm`, returning the cycle translation
     /// completes, the physical address, and whether a far-fault was taken
     /// (the data access then bypasses contended ports: its start time sits
@@ -766,33 +620,49 @@ impl GpuSystem {
     ) -> (Cycle, PhysAddr, bool) {
         let vpn = addr.base_page();
         let gpu = self.gpu_of(sm);
-        let l1_done = match Self::l1_translate(
-            self.cfg.system.ideal_tlb,
-            self.manager.tables(),
-            &mut self.l1_tlbs[sm],
-            now,
-            sm,
-            asid,
-            addr,
-            tl,
-            None,
-        ) {
-            L1Translate::Hit { done, phys } => return (done, phys, false),
-            L1Translate::IdealFault => {
+        if self.cfg.system.ideal_tlb {
+            // Every request is an L1 TLB hit; only residency is enforced.
+            let faulted = self.manager.tables().table(asid).is_none_or(|t| !t.is_mapped(vpn));
+            let ready = if faulted {
                 let done = self.handle_fault(now, gpu, asid, vpn, tl);
                 tl.mark(done, StallBucket::Fault);
-                tl.mark(done + 1, StallBucket::TlbHit);
-                let t = self
-                    .manager
-                    .tables()
-                    .table(asid)
-                    .expect("app registered")
-                    .translate(addr)
-                    .expect("resident after fault");
-                return (done + 1, PhysAddr(t.frame.addr().raw() + addr.base_offset()), true);
-            }
-            L1Translate::Miss { l1_done } => l1_done,
-        };
+                done
+            } else {
+                now
+            };
+            tl.mark(ready + 1, StallBucket::TlbHit);
+            let t = self
+                .manager
+                .tables()
+                .table(asid)
+                .expect("app registered")
+                .translate(addr)
+                .expect("resident after fault");
+            return (ready + 1, PhysAddr(t.frame.addr().raw() + addr.base_offset()), faulted);
+        }
+
+        // The SM's private L1 TLB.
+        let l1 = &mut self.l1_tlbs[sm];
+        let l1_done = now + l1.latency();
+        let l1_hit = l1.lookup(asid, addr).is_hit();
+        emit(|| Event::TlbLookup {
+            level: 1,
+            sm: sm as u32,
+            asid: asid.0,
+            cycle: now.as_u64(),
+            hit: l1_hit,
+        });
+        if l1_hit {
+            tl.mark(l1_done, StallBucket::TlbHit);
+            let t = self
+                .manager
+                .tables()
+                .table(asid)
+                .expect("app registered")
+                .translate(addr)
+                .expect("TLB hit implies resident mapping");
+            return (l1_done, PhysAddr(t.frame.addr().raw() + addr.base_offset()), false);
+        }
 
         // The device's shared L2 TLB, behind its port. A zero-capacity L2
         // TLB (the page-walk-cache ablation's configuration) is skipped
@@ -909,7 +779,6 @@ impl GpuSystem {
     /// fleet's placement policy, charging interconnect time for remote
     /// requests and for migration/replication payloads. Returns the
     /// servicing device and the cycle the request is available there.
-    /// Serial-path only: placement counters advance in heap order.
     fn place(
         &mut self,
         now: Cycle,
@@ -945,7 +814,7 @@ impl GpuSystem {
     /// recorded on `tl`, with DRAM split into queueing vs. service. Past
     /// the private L1, a fleet run routes the access to whichever device
     /// the placement policy says owns the 2MB region.
-    #[allow(clippy::too_many_arguments)] // the serial memory path's one entry
+    #[allow(clippy::too_many_arguments)] // placement needs the virtual address beside `phys`
     fn data_access(
         &mut self,
         issue_now: Cycle,
@@ -957,10 +826,12 @@ impl GpuSystem {
         bypass: bool,
         tl: &mut AccessTimeline,
     ) -> Cycle {
-        let l1_done = match Self::l1_data(&mut self.l1_caches[sm], start, phys, tl, None) {
-            Ok(done) => return done,
-            Err(l1_done) => l1_done,
-        };
+        let l1 = &mut self.l1_caches[sm];
+        let l1_done = start + l1.latency();
+        if l1.access(phys.raw(), false) {
+            tl.mark(l1_done, StallBucket::Cache);
+            return l1_done;
+        }
         let gpu = self.gpu_of(sm);
         let contended = !bypass && start.since(issue_now) <= LOOKAHEAD_WINDOW;
         let (home, at_home) = if self.cfg.fleet.gpus > 1 {

@@ -73,30 +73,6 @@ impl Line {
     }
 }
 
-/// Upper bound on associativity supported by [`Cache::access_logged`]'s
-/// inline set snapshot. Both shipped geometries (the 4-way L1 and the
-/// 16-way L2 slice) fit; the bound keeps the journal record `Copy` and
-/// allocation-free so reused journal vectors never touch the heap on
-/// the speculation path.
-const LOGGED_ASSOC_MAX: usize = 16;
-
-/// Saved pre-state of one [`Cache::access_logged`] call, sufficient to
-/// reverse it exactly: the touched set's lines and live count plus the
-/// tick/stat scalars. An access mutates nothing outside its own set, so
-/// snapshotting the set makes hit-refresh, free-way fill, and
-/// LRU-replace all trivially reversible. Undo is only valid while no
-/// other mutation of this cache intervenes — the speculative engine
-/// rolls back every un-committed step before shared-path work runs.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheAccessUndo {
-    tick: u64,
-    stats: Ratio,
-    writebacks: u64,
-    set: usize,
-    len: u16,
-    lines: [Line; LOGGED_ASSOC_MAX],
-}
-
 /// A set-associative, physically-indexed cache with LRU replacement.
 ///
 /// This is a structural model: [`Cache::access`] reports hit/miss and
@@ -224,54 +200,6 @@ impl Cache {
         false
     }
 
-    /// [`Cache::access`] with an undo record appended to `undo`: the
-    /// intra-run speculative engine accesses in place and rolls an
-    /// aborted step back via [`Cache::undo_access`]. The access itself
-    /// is performed by `access` directly, so the two paths cannot drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is more than [`LOGGED_ASSOC_MAX`]-way
-    /// associative (the record's inline set snapshot would not fit).
-    pub fn access_logged(
-        &mut self,
-        addr: u64,
-        write: bool,
-        undo: &mut Vec<CacheAccessUndo>,
-    ) -> bool {
-        let assoc = self.config.assoc;
-        assert!(
-            assoc <= LOGGED_ASSOC_MAX,
-            "access_logged supports at most {LOGGED_ASSOC_MAX} ways"
-        );
-        let (set_idx, _) = self.split(addr);
-        let base = set_idx * assoc;
-        let mut lines = [Line::EMPTY; LOGGED_ASSOC_MAX];
-        lines[..assoc].copy_from_slice(&self.lines[base..base + assoc]);
-        undo.push(CacheAccessUndo {
-            tick: self.tick,
-            stats: self.stats,
-            writebacks: self.writebacks,
-            set: set_idx,
-            len: self.lens[set_idx],
-            lines,
-        });
-        self.access(addr, write)
-    }
-
-    /// Reverses one [`Cache::access_logged`] call. Records must be
-    /// undone in reverse logging order, with no intervening mutations —
-    /// see [`CacheAccessUndo`].
-    pub fn undo_access(&mut self, rec: &CacheAccessUndo) {
-        let assoc = self.config.assoc;
-        let base = rec.set * assoc;
-        self.lines[base..base + assoc].copy_from_slice(&rec.lines[..assoc]);
-        self.lens[rec.set] = rec.len;
-        self.tick = rec.tick;
-        self.stats = rec.stats;
-        self.writebacks = rec.writebacks;
-    }
-
     /// Probes without filling or updating recency.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.split(addr);
@@ -381,41 +309,6 @@ mod tests {
     #[should_panic(expected = "line size")]
     fn zero_line_size_rejected() {
         let _ = Cache::new(CacheConfig { capacity: 256, line_size: 0, assoc: 2, latency: 1 });
-    }
-
-    /// Round-trip contract of the speculation journal: a chain of logged
-    /// accesses behaves exactly like plain accesses, and undoing it in
-    /// reverse restores the cache to its pre-chain state (compared via
-    /// `Debug`, covering lines, lens, tick, stats, and writebacks).
-    #[test]
-    fn logged_access_matches_plain_and_undoes_exactly() {
-        use mosaic_sim_core::SimRng;
-        let mut rng = SimRng::from_seed(0xCAC4E);
-        let mut cache = tiny();
-        for _ in 0..300 {
-            // Churn with plain accesses (fills, evictions, dirty lines).
-            for _ in 0..rng.below(4) {
-                cache.access(rng.below(16) * 64, rng.chance(0.3));
-            }
-            let snapshot = format!("{cache:?}");
-            let mut twin = cache.clone();
-            let mut undo = Vec::new();
-            for _ in 0..rng.below(4) + 1 {
-                let addr = rng.below(16) * 64;
-                let write = rng.chance(0.3);
-                assert_eq!(
-                    cache.access_logged(addr, write, &mut undo),
-                    twin.access(addr, write),
-                    "logged access outcome must match the plain path"
-                );
-            }
-            assert_eq!(format!("{cache:?}"), format!("{twin:?}"), "forward states must match");
-            for rec in undo.iter().rev() {
-                cache.undo_access(rec);
-            }
-            assert_eq!(format!("{cache:?}"), snapshot, "undo must restore the pre-chain state");
-            cache = twin;
-        }
     }
 
     /// The pre-packing line layout (`last_used` and `dirty` as separate

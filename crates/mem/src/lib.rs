@@ -28,7 +28,7 @@ pub mod dram;
 pub mod interconnect;
 pub mod xbar;
 
-pub use cache::{Cache, CacheAccessUndo, CacheConfig};
+pub use cache::{Cache, CacheConfig};
 pub use dram::{Dram, DramConfig};
 pub use interconnect::{Interconnect, InterconnectConfig, Topology, FLIT_BYTES};
 pub use xbar::{Crossbar, CrossbarConfig};

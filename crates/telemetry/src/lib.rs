@@ -47,21 +47,6 @@ pub trait EventSink {
     fn take_events(&mut self) -> Vec<Event> {
         Vec::new()
     }
-
-    /// Number of events currently buffered (0 for non-buffering sinks).
-    /// Together with [`EventSink::truncate`] this lets the speculative
-    /// engine bracket an in-place step and discard exactly the events an
-    /// aborted step emitted; sinks used to capture speculation must
-    /// implement both.
-    fn buffered(&self) -> usize {
-        0
-    }
-
-    /// Drops every buffered event past the first `len` (no-op for
-    /// non-buffering sinks).
-    fn truncate(&mut self, len: usize) {
-        let _ = len;
-    }
 }
 
 /// A sink that discards everything (the explicit "off" sink; with the
@@ -93,14 +78,6 @@ impl EventSink for MemSink {
 
     fn take_events(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.events)
-    }
-
-    fn buffered(&self) -> usize {
-        self.events.len()
-    }
-
-    fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
     }
 }
 
@@ -182,24 +159,6 @@ pub fn emit(f: impl FnOnce() -> Event) {
 /// Turns the per-thread gate on or off.
 pub fn set_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
-}
-
-/// Number of events buffered in this thread's sink (0 when no sink is
-/// installed or the sink does not buffer). The speculative engine reads
-/// this before an in-place step so [`truncate_sink`] can discard exactly
-/// the events an aborted step emitted.
-pub fn sink_len() -> usize {
-    SINK.with(|s| s.borrow().as_ref().map_or(0, |sink| sink.buffered()))
-}
-
-/// Truncates this thread's sink to its first `len` buffered events (the
-/// abort half of the [`sink_len`] bracket).
-pub fn truncate_sink(len: usize) {
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow_mut().as_mut() {
-            sink.truncate(len);
-        }
-    });
 }
 
 /// Installs (or removes) this thread's sink, returning the previous one.
@@ -291,27 +250,6 @@ mod tests {
         }
         assert!(!enabled());
         assert!(set_sink(None).is_none(), "drop removed the sink");
-    }
-
-    #[test]
-    fn sink_len_and_truncate_bracket_speculation() {
-        set_sink(Some(Box::new(MemSink::new())));
-        set_enabled(true);
-        emit(|| ev(1));
-        let mark = sink_len();
-        assert_eq!(mark, 1);
-        emit(|| ev(2));
-        emit(|| ev(3));
-        assert_eq!(sink_len(), 3);
-        // Abort: discard exactly the bracketed events.
-        truncate_sink(mark);
-        emit(|| ev(4));
-        set_enabled(false);
-        let events = set_sink(None).unwrap().take_events();
-        assert_eq!(events, vec![ev(1), ev(4)]);
-        // With no sink installed both are safe no-ops.
-        assert_eq!(sink_len(), 0);
-        truncate_sink(0);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub use addr::{
     BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
 };
 pub use page_table::{PageTable, PageTableSet, Translation, TranslationError};
-pub use tlb::{Tlb, TlbConfig, TlbLookup, TlbLookupUndo};
+pub use tlb::{Tlb, TlbConfig, TlbLookup};
 pub use walk_cache::WalkCache;
 pub use walker::PageTableWalker;

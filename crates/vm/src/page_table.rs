@@ -37,8 +37,8 @@ use crate::addr::{
     BASE_PAGES_PER_LARGE_PAGE,
 };
 use mosaic_sim_core::{AuditInvariants, AuditReport};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of a successful address translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,39 +199,6 @@ struct L3Region {
     entries: L4Table,
 }
 
-/// The scan-position cache of [`PageTable::region_pos`]: an atomic so
-/// shared references to a table stay usable across threads (`Cell` is
-/// `!Sync`, and the intra-run parallel engine translates through
-/// `&PageTableSet` from several speculation workers at once). The hint
-/// is purely an accelerator — `region_pos` re-validates it against the
-/// sorted region vector before trusting it, and a stale or racing value
-/// only costs one binary search — so any memory ordering is sound;
-/// acquire/release is used because the audit's determinism policy
-/// reserves `Relaxed` for allow-listed host-side counters.
-struct RegionHint(AtomicUsize);
-
-impl RegionHint {
-    fn get(&self) -> usize {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn set(&self, pos: usize) {
-        self.0.store(pos, Ordering::Release)
-    }
-}
-
-impl Clone for RegionHint {
-    fn clone(&self) -> Self {
-        RegionHint(AtomicUsize::new(self.get()))
-    }
-}
-
-impl std::fmt::Debug for RegionHint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
 /// A single application's four-level page table.
 ///
 /// # Examples
@@ -259,7 +226,7 @@ pub struct PageTable {
     regions: Vec<(LargePageNum, L3Region)>,
     /// Index into `regions` of the most recently probed region — accesses
     /// rarely leave a 2 MB region between consecutive translations.
-    region_hint: RegionHint,
+    region_hint: Cell<usize>,
     /// Bump allocator for page-table node addresses.
     next_node: u64,
     mapped_base_pages: u64,
@@ -287,7 +254,7 @@ impl PageTable {
             l2_nodes: Box::new([PhysAddr(0); 512]),
             l3_nodes: Vec::new(),
             regions: Vec::new(),
-            region_hint: RegionHint(AtomicUsize::new(0)),
+            region_hint: Cell::new(0),
             next_node: region,
             mapped_base_pages: 0,
         };

@@ -26,5 +26,5 @@ pub mod suite;
 
 pub use layout::AppLayout;
 pub use profile::{AccessPattern, AppProfile, Suite, ALL_PROFILES};
-pub use stream::{AppWarpStream, AppWarpStreamState};
+pub use stream::AppWarpStream;
 pub use suite::{heterogeneous_suite, homogeneous_suite, ScaleConfig, Workload};
